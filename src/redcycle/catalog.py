@@ -12,7 +12,7 @@ Registry names are stable public identifiers, also used by the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .classify import classify
 from .errors import IntegerOverflowError, UnknownNameError
@@ -353,7 +353,8 @@ def _infinite_reduced_key() -> Quiver:
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# Registry: each item's data, followed by the self-check that recomputes
+# every expectation it ships (shared by the CLI and the acceptance suite)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -368,12 +369,19 @@ class CatalogItem:
     expect: dict[str, object] = field(default_factory=dict)
 
 
-def _item_fig1_extension() -> CatalogItem:
+Check = tuple[str, bool, str]
+
+
+def _check(name: str, ok: bool, detail: str = "") -> Check:
+    return (name, bool(ok), detail)
+
+
+def _item_fig1_extension(name: str) -> CatalogItem:
     t = Quiver.from_arrows([5, 6], [(5, 6)])
     h = _four_cycle()
     a = ((7, 0, 0, 2), (0, 5, 5, 0))
     return CatalogItem(
-        name="fig1_extension",
+        name,
         quivers={
             "t": t,
             "h": h,
@@ -389,9 +397,22 @@ def _item_fig1_extension() -> CatalogItem:
     )
 
 
-def _item_key() -> CatalogItem:
+def _verify_fig1_extension(item: CatalogItem) -> Iterator[Check]:
+    q = item.quivers["extension"]
+    report = verify_cycle(q, item.sequences["cycle"])
+    yield _check("cycle closes with equality", report.closes_equal)
+    yield _check("cycle is simple", report.simple)
+    yield _check("cycle length 10", report.length == 10)
+    built_q, built_seq = build_cycle_equal(
+        item.quivers["t"], item.sequences["m_t"],
+        item.quivers["h"], item.sequences["m_h"], item.matrices["a"],
+    )
+    yield _check("rebuilt from factors", built_q == q and built_seq == item.sequences["cycle"])
+
+
+def _item_key(name: str) -> CatalogItem:
     return CatalogItem(
-        name="key_K_and_Kprime",
+        name,
         quivers={"K": _key_K(), "Kprime": _key_Kprime()},
         sequences={
             "to_K": (2, 3),
@@ -405,9 +426,16 @@ def _item_key() -> CatalogItem:
     )
 
 
-def _item_half_finite_12() -> CatalogItem:
+def _verify_key(item: CatalogItem) -> Iterator[Check]:
+    K, Kp = item.quivers["K"], item.quivers["Kprime"]
+    yield _check("K = mu_{2,3}(K')", Kp.mutate_seq(item.sequences["to_K"]) == K)
+    yield _check("M reddening, identity", is_reddening(K, item.sequences["M"]) == item.permutations["M"])
+    yield _check("M' reddening, (1,2)", is_reddening(K, item.sequences["Mprime"]) == item.permutations["Mprime"])
+
+
+def _item_half_finite_12(name: str) -> CatalogItem:
     return CatalogItem(
-        name="half_finite_12",
+        name,
         quivers={"Q": _half_finite_12()},
         sequences={"S_bullet": _S_BULLET, "S_circ": _S_CIRC, "S": _S_HALF_FINITE},
         permutations={
@@ -416,14 +444,21 @@ def _item_half_finite_12() -> CatalogItem:
     )
 
 
-def _item_half_finite_ext_15() -> CatalogItem:
+def _verify_half_finite_12(item: CatalogItem) -> Iterator[Check]:
+    q = item.quivers["Q"]
+    yield _check("S_circ recurrence", q.mutate_seq(item.sequences["S_circ"]) == q.opposite())
+    yield _check("S_bullet recurrence", q.mutate_seq(item.sequences["S_bullet"]) == q.opposite())
+    yield _check("S reddening with stated permutation", is_reddening(q, item.sequences["S"]) == item.permutations["S"])
+
+
+def _item_half_finite_ext_15(name: str) -> CatalogItem:
     p = _half_finite_15()
     a = tuple(
         tuple(1 if (row, col) in ((1, 13), (2, 14), (3, 15)) else 0 for col in (13, 14, 15))
         for row in range(1, 13)
     )
     return CatalogItem(
-        name="half_finite_ext_15",
+        name,
         quivers={"P": p, "triangle": p.restrict([13, 14, 15])},
         sequences={
             "S": _S_HALF_FINITE,
@@ -441,9 +476,29 @@ def _item_half_finite_ext_15() -> CatalogItem:
     )
 
 
-def _item_dreaded_torus() -> CatalogItem:
+def _verify_half_finite_ext_15(item: CatalogItem) -> Iterator[Check]:
+    p = item.quivers["P"]
+    base = catalog_item("half_finite_12")
+    yield _check("restriction to 1..12", p.restrict(range(1, 13)) == base.quivers["Q"])
+    tri = item.quivers["triangle"]
+    for key in ("M1", "M2", "M3"):
+        sigma = is_reddening(tri, item.sequences[key])
+        yield _check(f"{key} reddening with stated permutation", sigma == item.permutations[key])
+    lengths = item.expect["cycle_lengths"]
+    for key in ("M1", "M2", "M3"):
+        built_q, seq = build_cycle_general(
+            base.quivers["Q"], item.sequences["S"], tri, item.sequences[key], item.matrices["a"]
+        )
+        report = verify_cycle(built_q, seq)
+        yield _check(
+            f"{key} cycle simple of length {lengths[key]}",
+            built_q == p and report.simple and report.length == lengths[key],
+        )
+
+
+def _item_dreaded_torus(name: str) -> CatalogItem:
     return CatalogItem(
-        name="dreaded_torus",
+        name,
         quivers={"Q": dreaded_torus(1)},
         sequences={"mgs": _TORUS_MGS},
         permutations={"mgs": Permutation.from_cycles((1, 4), (2, 3))},
@@ -451,13 +506,24 @@ def _item_dreaded_torus() -> CatalogItem:
     )
 
 
-def _item_two_torus() -> CatalogItem:
+def _verify_dreaded_torus(item: CatalogItem) -> Iterator[Check]:
+    q = item.quivers["Q"]
+    sigma = is_maximal_green(q, item.sequences["mgs"])
+    yield _check("maximal green with stated permutation", sigma == item.permutations["mgs"])
+    for a in item.expect["dominated_values"]:
+        yield _check(
+            f"dominated a={a} has the same MGS",
+            is_maximal_green(dreaded_torus(a), item.sequences["mgs"]) is not None,
+        )
+
+
+def _item_two_torus(name: str) -> CatalogItem:
     a = tuple(
         tuple(1 if (row, col) in ((2, 5), (3, 7), (4, 8)) else 0 for col in (5, 6, 7, 8))
         for row in (1, 2, 3, 4)
     )
     return CatalogItem(
-        name="two_torus_extension",
+        name,
         quivers={"Q": _two_torus(), "t": _torus_at(0), "h": _torus_at(4)},
         sequences={
             "m_t": _TORUS_MGS,
@@ -469,7 +535,18 @@ def _item_two_torus() -> CatalogItem:
     )
 
 
-def _item_three_torus() -> CatalogItem:
+def _verify_two_torus(item: CatalogItem) -> Iterator[Check]:
+    q = item.quivers["Q"]
+    built_q, seq = build_cycle_general(
+        item.quivers["t"], item.sequences["m_t"],
+        item.quivers["h"], item.sequences["m_h"], item.matrices["a"],
+    )
+    yield _check("built quiver matches figure", built_q == q)
+    yield _check("built cycle matches stated 24-term sequence", seq == item.sequences["cycle"])
+    yield _check("closes with equality", verify_cycle(q, seq).closes_equal)
+
+
+def _item_three_torus(name: str) -> CatalogItem:
     # The extension's T factor is the 8-vertex two-torus quiver.  Its
     # 12-term reddening sequence is the concatenated torus sequences; the
     # 24-term mutation cycle is NOT a reddening sequence of it (the framed
@@ -491,7 +568,7 @@ def _item_three_torus() -> CatalogItem:
         for row in range(1, 9)
     )
     return CatalogItem(
-        name="three_torus_extension",
+        name,
         quivers={"Q": _three_torus(), "t": _two_torus(), "h": _torus_at(8)},
         sequences={
             "m_t": m_t,
@@ -504,10 +581,31 @@ def _item_three_torus() -> CatalogItem:
     )
 
 
-def _item_t5() -> CatalogItem:
+def _verify_three_torus(item: CatalogItem) -> Iterator[Check]:
+    q = item.quivers["Q"]
+    built_q, seq = build_cycle_general(
+        item.quivers["t"], item.sequences["m_t"],
+        item.quivers["h"], item.sequences["m_h"], item.matrices["a"],
+    )
+    report = verify_cycle(q, seq)
+    yield _check(
+        "constructed 36-term cycle closes with equality",
+        built_q == q and report.closes_equal and seq == item.sequences["cycle"],
+    )
+    try:
+        stated_closes = verify_cycle(q, item.sequences["stated_cycle"]).closes_equal
+    except IntegerOverflowError:
+        stated_closes = False
+    yield _check(
+        "recorded 60-term splice diverges (known discrepancy)",
+        stated_closes == item.expect["stated_cycle_closes"],
+    )
+
+
+def _item_t5(name: str) -> CatalogItem:
     q, seq, sigma = punctured_sphere(5)
     return CatalogItem(
-        name="T5",
+        name,
         quivers={"Q": q},
         sequences={"S": seq},
         permutations={"S": sigma},
@@ -515,18 +613,32 @@ def _item_t5() -> CatalogItem:
     )
 
 
-def _item_r33() -> CatalogItem:
+def _verify_t5(item: CatalogItem) -> Iterator[Check]:
+    q = item.quivers["Q"]
+    sigma = is_maximal_green(q, item.sequences["S"])
+    yield _check("maximal green with stated permutation", sigma == item.permutations["S"])
+    yield _check("3(k-2) vertices", q.rank == 9)
+
+
+def _item_r33(name: str) -> CatalogItem:
     return CatalogItem(
-        name="R33",
+        name,
         quivers={"Q": grid_quiver(3, 3)},
         sequences={"S": grid_reddening(3, 3)},
         permutations={"S": Permutation.from_cycles((1, 3), (4, 6), (7, 9))},
     )
 
 
-def _item_r_prime() -> CatalogItem:
+def _verify_r33(item: CatalogItem) -> Iterator[Check]:
+    q = item.quivers["Q"]
+    sigma = is_reddening(q, item.sequences["S"])
+    yield _check("S reddening with stated permutation", sigma == item.permutations["S"])
+    yield _check("length binom(4,2)*3", len(item.sequences["S"]) == 18)
+
+
+def _item_r_prime(name: str) -> CatalogItem:
     return CatalogItem(
-        name="Rprime",
+        name,
         quivers={"Q": _r_prime()},
         sequences={"S": _S_PRIME, "to_subquiver": (5, 1)},
         permutations={"S": Permutation.from_cycles((1, 3), (4, 6), (7, 8))},
@@ -534,7 +646,18 @@ def _item_r_prime() -> CatalogItem:
     )
 
 
-def _item_r_double_prime() -> CatalogItem:
+def _verify_r_prime(item: CatalogItem) -> Iterator[Check]:
+    q = item.quivers["Q"]
+    sigma = is_reddening(q, item.sequences["S"])
+    yield _check("S reddening with stated permutation", sigma == item.permutations["S"])
+    r33 = catalog_item("R33").quivers["Q"]
+    keep = [v for v in r33.mutable_labels if v != item.expect["subquiver_of_R33_without"]]
+    mutated = q.mutate_seq(item.sequences["to_subquiver"])
+    iso = find_isomorphism(mutated, r33.restrict(keep))
+    yield _check("mu_{5,1}(R') is R33 minus 9", iso is not None)
+
+
+def _item_r_double_prime(name: str) -> CatalogItem:
     # The subquiver relation cannot mutate R'' at vertex 6 (R'' has no such
     # vertex); since 6 is the deleted vertex, restriction does not commute
     # with the mutation and the relation must be read on the grid side:
@@ -543,7 +666,7 @@ def _item_r_double_prime() -> CatalogItem:
     # mutated framed quiver pins this orientation, and the labeled quiver
     # equality mu_S(Q) == sigma(Q) holds for it alone.
     return CatalogItem(
-        name="Rdoubleprime",
+        name,
         quivers={"Q": _r_double_prime()},
         sequences={"S": _S_DOUBLE_PRIME, "grid_mutation": (2, 6)},
         permutations={"S": Permutation.from_cycles((2, 5), (3, 8), (4, 7, 9))},
@@ -551,9 +674,20 @@ def _item_r_double_prime() -> CatalogItem:
     )
 
 
-def _item_banff_q() -> CatalogItem:
+def _verify_r_double_prime(item: CatalogItem) -> Iterator[Check]:
+    q = item.quivers["Q"]
+    sigma = is_reddening(q, item.sequences["S"])
+    yield _check("S reddening with stated permutation", sigma == item.permutations["S"])
+    r33 = catalog_item("R33").quivers["Q"]
+    deleted = item.expect["subquiver_of_R33_without"]
+    keep = [v for v in r33.mutable_labels if v != deleted]
+    image = r33.mutate_seq(item.sequences["grid_mutation"]).restrict(keep)
+    yield _check("R'' equals mu_{2,6}(R33) minus 6", image == q)
+
+
+def _item_banff_q(name: str) -> CatalogItem:
     return CatalogItem(
-        name="banff_Q",
+        name,
         quivers={"Q": _banff_q()},
         sequences={"M": _BANFF_M, "S": _BANFF_S, "N": _banff_n()},
         permutations={"N": Permutation.identity()},
@@ -561,12 +695,21 @@ def _item_banff_q() -> CatalogItem:
     )
 
 
-def _item_banff_extension() -> CatalogItem:
+def _verify_banff_q(item: CatalogItem) -> Iterator[Check]:
+    q = item.quivers["Q"]
+    after_m = q.mutate_seq(item.sequences["M"])
+    yield _check("vertex 4 is a source after M", item.expect["source_after_M"] in after_m.sources())
+    n = item.sequences["N"]
+    yield _check("|N| = 34", len(n) == item.expect["N_length"])
+    yield _check("N reddening with identity", is_reddening(q, n) == item.permutations["N"])
+
+
+def _item_banff_extension(name: str) -> CatalogItem:
     t = _r_double_prime()
     h = _banff_q().relabeled({i: i + 9 for i in range(1, 7)})
     n9 = tuple(v + 9 for v in _banff_n())
     return CatalogItem(
-        name="banff_extension_14",
+        name,
         quivers={
             "t": t,
             "h": h,
@@ -578,9 +721,23 @@ def _item_banff_extension() -> CatalogItem:
     )
 
 
-def _item_quiver_types() -> CatalogItem:
+def _verify_banff_extension(item: CatalogItem) -> Iterator[Check]:
+    ext = item.quivers["extension"]
+    yield _check("14 vertices, no label 6", ext.rank == 14 and 6 not in ext.mutable_labels)
+    built_q, seq = build_cycle_general(
+        item.quivers["t"], item.sequences["m_t"],
+        item.quivers["h"], item.sequences["m_h"], item.matrices["A"],
+    )
+    report = verify_cycle(built_q, seq)
+    yield _check(
+        "simple cycle of length 336",
+        built_q == ext and report.simple and report.length == item.expect["cycle_length"],
+    )
+
+
+def _item_quiver_types(name: str) -> CatalogItem:
     return CatalogItem(
-        name="quiver_types",
+        name,
         quivers={
             "fork": _fork_example(),
             "key": _key_example(),
@@ -596,17 +753,40 @@ def _item_quiver_types() -> CatalogItem:
     )
 
 
-def _item_box_quiver() -> CatalogItem:
+def _verify_quiver_types(item: CatalogItem) -> Iterator[Check]:
+    fork = classify(item.quivers["fork"])
+    yield _check("fork with return 1", fork.fork_returns == frozenset({1}))
+    key = classify(item.quivers["key"])
+    yield _check(
+        "key with pair (1,3) of weight 0",
+        key.key_pairs == (((1, 3), 0),),
+    )
+    prefork = classify(item.quivers["prefork"])
+    yield _check(
+        "pre-fork with pair (1,3) and return 2",
+        ((1, 3), 2) in prefork.prefork_pairs and not prefork.is_key,
+    )
+
+
+def _item_box_quiver(name: str) -> CatalogItem:
     return CatalogItem(
-        name="box_quiver",
+        name,
         quivers={"Q": box_quiver(2, 2)},
         expect={"reddening_up_to_10": 0},
     )
 
 
-def _item_infinite_reduced_key() -> CatalogItem:
+def _verify_box_quiver(item: CatalogItem) -> Iterator[Check]:
+    result = search_reddening(item.quivers["Q"], max_len=6, reduced_only=True)
+    yield _check(
+        "no reddening sequence up to length 6",
+        len(result) == 0 and result.complete,
+    )
+
+
+def _item_infinite_reduced_key(name: str) -> CatalogItem:
     return CatalogItem(
-        name="infinite_reduced_key",
+        name,
         quivers={"Q": _infinite_reduced_key()},
         sequences={"short": (2, 4, 3, 1), "N": (4, 1, 3, 1, 3, 4, 2, 4, 3, 1)},
         permutations={
@@ -617,23 +797,35 @@ def _item_infinite_reduced_key() -> CatalogItem:
     )
 
 
-_REGISTRY: dict[str, Callable[[], CatalogItem]] = {
-    "fig1_extension": _item_fig1_extension,
-    "key_K_and_Kprime": _item_key,
-    "half_finite_12": _item_half_finite_12,
-    "half_finite_ext_15": _item_half_finite_ext_15,
-    "dreaded_torus": _item_dreaded_torus,
-    "two_torus_extension": _item_two_torus,
-    "three_torus_extension": _item_three_torus,
-    "T5": _item_t5,
-    "R33": _item_r33,
-    "Rprime": _item_r_prime,
-    "Rdoubleprime": _item_r_double_prime,
-    "banff_Q": _item_banff_q,
-    "banff_extension_14": _item_banff_extension,
-    "quiver_types": _item_quiver_types,
-    "box_quiver": _item_box_quiver,
-    "infinite_reduced_key": _item_infinite_reduced_key,
+def _verify_infinite_reduced_key(item: CatalogItem) -> Iterator[Check]:
+    q = item.quivers["Q"]
+    report = classify(q)
+    yield _check("key with pair (1,3)", any(p == (1, 3) for p, _ in report.key_pairs))
+    for key in ("short", "N"):
+        sigma = is_reddening(q, item.sequences[key])
+        yield _check(f"{key} reddening with identity", sigma == item.permutations[key])
+
+
+_Entry = tuple[Callable[[str], CatalogItem], Callable[[CatalogItem], Iterator[Check]]]
+
+#: Name -> (builder, self-check), in catalog order.
+_REGISTRY: dict[str, _Entry] = {
+    "fig1_extension": (_item_fig1_extension, _verify_fig1_extension),
+    "key_K_and_Kprime": (_item_key, _verify_key),
+    "half_finite_12": (_item_half_finite_12, _verify_half_finite_12),
+    "half_finite_ext_15": (_item_half_finite_ext_15, _verify_half_finite_ext_15),
+    "dreaded_torus": (_item_dreaded_torus, _verify_dreaded_torus),
+    "two_torus_extension": (_item_two_torus, _verify_two_torus),
+    "three_torus_extension": (_item_three_torus, _verify_three_torus),
+    "T5": (_item_t5, _verify_t5),
+    "R33": (_item_r33, _verify_r33),
+    "Rprime": (_item_r_prime, _verify_r_prime),
+    "Rdoubleprime": (_item_r_double_prime, _verify_r_double_prime),
+    "banff_Q": (_item_banff_q, _verify_banff_q),
+    "banff_extension_14": (_item_banff_extension, _verify_banff_extension),
+    "quiver_types": (_item_quiver_types, _verify_quiver_types),
+    "box_quiver": (_item_box_quiver, _verify_box_quiver),
+    "infinite_reduced_key": (_item_infinite_reduced_key, _verify_infinite_reduced_key),
 }
 
 
@@ -641,202 +833,22 @@ def catalog_names() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def catalog_item(name: str) -> CatalogItem:
-    """Fetch a registry bundle by its stable name."""
+def _entry(name: str) -> _Entry:
     try:
-        return _REGISTRY[name]()
+        return _REGISTRY[name]
     except KeyError:
         raise UnknownNameError(
             f"unknown catalog item {name!r}; known: {', '.join(_REGISTRY)}"
         ) from None
 
 
-# ---------------------------------------------------------------------------
-# Self-verification (shared by the CLI and the acceptance suite)
-# ---------------------------------------------------------------------------
-
-Check = tuple[str, bool, str]
-
-
-def _check(name: str, ok: bool, detail: str = "") -> Check:
-    return (name, bool(ok), detail)
+def catalog_item(name: str) -> CatalogItem:
+    """Fetch a registry bundle by its stable name."""
+    build, _ = _entry(name)
+    return build(name)
 
 
 def verify_item(name: str) -> list[Check]:
     """Recompute every expectation shipped with a registry bundle."""
-    item = catalog_item(name)
-    checks: list[Check] = []
-
-    if name == "fig1_extension":
-        q = item.quivers["extension"]
-        report = verify_cycle(q, item.sequences["cycle"])
-        checks.append(_check("cycle closes with equality", report.closes_equal))
-        checks.append(_check("cycle is simple", report.simple))
-        checks.append(_check("cycle length 10", report.length == 10))
-        built_q, built_seq = build_cycle_equal(
-            item.quivers["t"], item.sequences["m_t"],
-            item.quivers["h"], item.sequences["m_h"], item.matrices["a"],
-        )
-        checks.append(_check("rebuilt from factors", built_q == q and built_seq == item.sequences["cycle"]))
-
-    elif name == "key_K_and_Kprime":
-        K, Kp = item.quivers["K"], item.quivers["Kprime"]
-        checks.append(_check("K = mu_{2,3}(K')", Kp.mutate_seq(item.sequences["to_K"]) == K))
-        checks.append(_check("M reddening, identity", is_reddening(K, item.sequences["M"]) == item.permutations["M"]))
-        checks.append(_check("M' reddening, (1,2)", is_reddening(K, item.sequences["Mprime"]) == item.permutations["Mprime"]))
-
-    elif name == "half_finite_12":
-        q = item.quivers["Q"]
-        checks.append(_check("S_circ recurrence", q.mutate_seq(item.sequences["S_circ"]) == q.opposite()))
-        checks.append(_check("S_bullet recurrence", q.mutate_seq(item.sequences["S_bullet"]) == q.opposite()))
-        checks.append(_check("S reddening with stated permutation", is_reddening(q, item.sequences["S"]) == item.permutations["S"]))
-
-    elif name == "half_finite_ext_15":
-        p = item.quivers["P"]
-        base = catalog_item("half_finite_12")
-        checks.append(_check("restriction to 1..12", p.restrict(range(1, 13)) == base.quivers["Q"]))
-        tri = item.quivers["triangle"]
-        for key in ("M1", "M2", "M3"):
-            sigma = is_reddening(tri, item.sequences[key])
-            checks.append(_check(f"{key} reddening with stated permutation", sigma == item.permutations[key]))
-        lengths = item.expect["cycle_lengths"]
-        for key in ("M1", "M2", "M3"):
-            built_q, seq = build_cycle_general(
-                base.quivers["Q"], item.sequences["S"], tri, item.sequences[key], item.matrices["a"]
-            )
-            report = verify_cycle(built_q, seq)
-            checks.append(_check(
-                f"{key} cycle simple of length {lengths[key]}",
-                built_q == p and report.simple and report.length == lengths[key],
-            ))
-
-    elif name == "dreaded_torus":
-        q = item.quivers["Q"]
-        sigma = is_maximal_green(q, item.sequences["mgs"])
-        checks.append(_check("maximal green with stated permutation", sigma == item.permutations["mgs"]))
-        for a in item.expect["dominated_values"]:
-            checks.append(_check(
-                f"dominated a={a} has the same MGS",
-                is_maximal_green(dreaded_torus(a), item.sequences["mgs"]) is not None,
-            ))
-
-    elif name == "two_torus_extension":
-        q = item.quivers["Q"]
-        built_q, seq = build_cycle_general(
-            item.quivers["t"], item.sequences["m_t"],
-            item.quivers["h"], item.sequences["m_h"], item.matrices["a"],
-        )
-        checks.append(_check("built quiver matches figure", built_q == q))
-        checks.append(_check("built cycle matches stated 24-term sequence", seq == item.sequences["cycle"]))
-        checks.append(_check("closes with equality", verify_cycle(q, seq).closes_equal))
-
-    elif name == "three_torus_extension":
-        q = item.quivers["Q"]
-        built_q, seq = build_cycle_general(
-            item.quivers["t"], item.sequences["m_t"],
-            item.quivers["h"], item.sequences["m_h"], item.matrices["a"],
-        )
-        report = verify_cycle(q, seq)
-        checks.append(_check(
-            "constructed 36-term cycle closes with equality",
-            built_q == q and report.closes_equal and seq == item.sequences["cycle"],
-        ))
-        try:
-            stated_closes = verify_cycle(q, item.sequences["stated_cycle"]).closes_equal
-        except IntegerOverflowError:
-            stated_closes = False
-        checks.append(_check(
-            "recorded 60-term splice diverges (known discrepancy)",
-            stated_closes == item.expect["stated_cycle_closes"],
-        ))
-
-    elif name == "T5":
-        q = item.quivers["Q"]
-        sigma = is_maximal_green(q, item.sequences["S"])
-        checks.append(_check("maximal green with stated permutation", sigma == item.permutations["S"]))
-        checks.append(_check("3(k-2) vertices", q.rank == 9))
-
-    elif name == "R33":
-        q = item.quivers["Q"]
-        sigma = is_reddening(q, item.sequences["S"])
-        checks.append(_check("S reddening with stated permutation", sigma == item.permutations["S"]))
-        checks.append(_check("length binom(4,2)*3", len(item.sequences["S"]) == 18))
-
-    elif name == "Rprime":
-        q = item.quivers["Q"]
-        sigma = is_reddening(q, item.sequences["S"])
-        checks.append(_check("S reddening with stated permutation", sigma == item.permutations["S"]))
-        r33 = catalog_item("R33").quivers["Q"]
-        keep = [v for v in r33.mutable_labels if v != item.expect["subquiver_of_R33_without"]]
-        mutated = q.mutate_seq(item.sequences["to_subquiver"])
-        iso = find_isomorphism(mutated, r33.restrict(keep))
-        checks.append(_check("mu_{5,1}(R') is R33 minus 9", iso is not None))
-
-    elif name == "Rdoubleprime":
-        q = item.quivers["Q"]
-        sigma = is_reddening(q, item.sequences["S"])
-        checks.append(_check("S reddening with stated permutation", sigma == item.permutations["S"]))
-        r33 = catalog_item("R33").quivers["Q"]
-        deleted = item.expect["subquiver_of_R33_without"]
-        keep = [v for v in r33.mutable_labels if v != deleted]
-        image = r33.mutate_seq(item.sequences["grid_mutation"]).restrict(keep)
-        checks.append(_check("R'' equals mu_{2,6}(R33) minus 6", image == q))
-
-    elif name == "banff_Q":
-        q = item.quivers["Q"]
-        after_m = q.mutate_seq(item.sequences["M"])
-        checks.append(_check("vertex 4 is a source after M", item.expect["source_after_M"] in after_m.sources()))
-        n = item.sequences["N"]
-        checks.append(_check("|N| = 34", len(n) == item.expect["N_length"]))
-        checks.append(_check("N reddening with identity", is_reddening(q, n) == item.permutations["N"]))
-
-    elif name == "banff_extension_14":
-        ext = item.quivers["extension"]
-        checks.append(_check("14 vertices, no label 6", ext.rank == 14 and 6 not in ext.mutable_labels))
-        built_q, seq = build_cycle_general(
-            item.quivers["t"], item.sequences["m_t"],
-            item.quivers["h"], item.sequences["m_h"], item.matrices["A"],
-        )
-        report = verify_cycle(built_q, seq)
-        checks.append(_check(
-            "simple cycle of length 336",
-            built_q == ext and report.simple and report.length == item.expect["cycle_length"],
-        ))
-
-    elif name == "quiver_types":
-        fork = classify(item.quivers["fork"])
-        checks.append(_check("fork with return 1", fork.fork_returns == frozenset({1})))
-        key = classify(item.quivers["key"])
-        checks.append(_check(
-            "key with pair (1,3) of weight 0",
-            key.key_pairs == (((1, 3), 0),),
-        ))
-        prefork = classify(item.quivers["prefork"])
-        checks.append(_check(
-            "pre-fork with pair (1,3) and return 2",
-            ((1, 3), 2) in prefork.prefork_pairs and not prefork.is_key,
-        ))
-
-    elif name == "box_quiver":
-        result = search_reddening(item.quivers["Q"], max_len=6, reduced_only=True)
-        checks.append(_check(
-            "no reddening sequence up to length 6",
-            len(result) == 0 and result.complete,
-        ))
-
-    elif name == "infinite_reduced_key":
-        q = item.quivers["Q"]
-        report = classify(q)
-        checks.append(_check("key with pair (1,3)", any(p == (1, 3) for p, _ in report.key_pairs)))
-        for key in ("short", "N"):
-            sigma = is_reddening(q, item.sequences[key])
-            checks.append(_check(f"{key} reddening with identity", sigma == item.permutations[key]))
-
-    else:  # pragma: no cover - registry and verifier kept in sync
-        raise UnknownNameError(name)
-
-    return checks
-
-
-def verify_all() -> dict[str, list[Check]]:
-    return {name: verify_item(name) for name in catalog_names()}
+    build, verify = _entry(name)
+    return list(verify(build(name)))

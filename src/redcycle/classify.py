@@ -1,4 +1,4 @@
-"""Structural predicates and bounded forkless exploration.
+"""Structural predicates, canonical forms and bounded class exploration.
 
 A fork is an abundant non-acyclic quiver that becomes acyclic after
 deleting one vertex (the point of return), with the weight-growth condition
@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Callable
 
-from .errors import AlreadyFramedError, ForkStartError
+from .errors import AlreadyFramedError, ForkStartError, FormatError, OutOfRangeError
 from .quiver import Quiver
 
 #: Default node budget for bounded explorations; REDCYCLE_BUDGET overrides.
@@ -24,8 +25,18 @@ DEFAULT_BUDGET = 100_000
 
 
 def default_budget() -> int:
+    """REDCYCLE_BUDGET when set, else DEFAULT_BUDGET; FormatError unless the
+    variable holds a positive integer."""
     env = os.environ.get("REDCYCLE_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise FormatError(f"REDCYCLE_BUDGET must be a positive integer, got {env!r}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -206,6 +217,49 @@ def canonical_form(q: Quiver) -> bytes:
     return f"{n}|".encode("ascii") + ",".join(map(str, best)).encode("ascii")
 
 
+def explore(
+    q: Quiver,
+    node_budget: int | None = None,
+    keep: Callable[[bytes, Quiver], bool] | None = None,
+) -> tuple[dict[bytes, Quiver], bool]:
+    """Breadth-first walk of the mutation class of ``q`` up to isomorphism.
+
+    Returns ``(forms, exhausted)``.  ``forms`` maps each canonical form to
+    the first labeled representative reached, the start first, and stops
+    growing as soon as it holds ``node_budget`` forms; ``exhausted`` is True
+    exactly when the frontier emptied first.  Each level is expanded in
+    canonical-form order, so the walk is deterministic.
+
+    A new form is kept only if ``keep(form, quiver)`` accepts it; the start
+    is always kept.  Deduplication comes first, and a rejected form is never
+    looked at again, which is sound because ``keep`` must be an isomorphism
+    invariant (fork, pre-fork and key status are).
+    """
+    budget = default_budget() if node_budget is None else node_budget
+    if budget < 1:
+        raise OutOfRangeError(f"node budget must be >= 1, got {budget}")
+    start = canonical_form(q)
+    forms: dict[bytes, Quiver] = {start: q}
+    rejected: set[bytes] = set()
+    level = {start: q}
+    while level and len(forms) < budget:
+        next_level: dict[bytes, Quiver] = {}
+        for _, rep in sorted(level.items()):
+            for v in rep.mutable_labels:
+                neighbor = rep.mutate(v)
+                form = canonical_form(neighbor)
+                if form in forms or form in rejected:
+                    continue
+                if keep is not None and not keep(form, neighbor):
+                    rejected.add(form)
+                    continue
+                forms[form] = next_level[form] = neighbor
+                if len(forms) >= budget:
+                    return forms, False
+        level = next_level
+    return forms, len(forms) < budget
+
+
 @dataclass(frozen=True)
 class ForklessReport:
     """Deduplicated non-fork part of a mutation class, up to a node budget.
@@ -225,48 +279,29 @@ def forkless_explore(
     q: Quiver, node_budget: int | None = None, discard_preforks: bool = False
 ) -> ForklessReport:
     """Breadth-first search of the forkless part, deduplicating by canonical
-    form and discarding forks as they appear.
+    form and discarding forks as they appear (see :func:`explore`).
 
     With ``discard_preforks`` the walk also drops pre-forks, exploring the
     pre-forkless part instead; some quivers (the weighted box, for one)
     have an infinite forkless part but a finite pre-forkless one, so only
-    the latter exploration can exhaust.
+    the latter exploration can exhaust.  The start is classified once and
+    each new form once.
 
-    Deterministic: each BFS level is processed in canonical-form order.
     Raises ForkStartError when the starting quiver is itself a fork.
     """
-    budget = node_budget if node_budget is not None else default_budget()
-    if classify(q).is_fork:
+    start = classify(q)
+    if start.is_fork:
         raise ForkStartError("starting quiver is a fork")
-    start = canonical_form(q)
-    forms: dict[bytes, Quiver] = {start: q}
-    key_forms: dict[bytes, Quiver] = {}
-    if classify(q).is_key:
-        key_forms[start] = q
-    level = {start: q}
-    exhausted = True
-    stop = len(forms) >= budget and bool(level)
-    while level and not stop:
-        next_level: dict[bytes, Quiver] = {}
-        for _, rep in sorted(level.items()):
-            if stop:
-                break
-            for v in rep.mutable_labels:
-                neighbor = rep.mutate(v)
-                report = classify(neighbor)
-                if report.is_fork or (discard_preforks and report.is_prefork):
-                    continue
-                form = canonical_form(neighbor)
-                if form in forms:
-                    continue
-                forms[form] = neighbor
-                next_level[form] = neighbor
-                if report.is_key:
-                    key_forms[form] = neighbor
-                if len(forms) >= budget:
-                    stop = True
-                    break
-        level = next_level
-    if stop:
-        exhausted = False
+    keys: set[bytes] = set()
+
+    def keep(form: bytes, rep: Quiver) -> bool:
+        report = classify(rep)
+        if report.is_key:
+            keys.add(form)
+        return not (report.is_fork or (discard_preforks and report.is_prefork))
+
+    forms, exhausted = explore(q, node_budget, keep)
+    if start.is_key:
+        keys.add(next(iter(forms)))  # the start's form comes first
+    key_forms = {form: rep for form, rep in forms.items() if form in keys}
     return ForklessReport(forms=forms, key_forms=key_forms, exhausted=exhausted)

@@ -53,7 +53,7 @@ def _fmt_perm(sigma: Permutation | None) -> str:
 
 def _read_sequence(args: argparse.Namespace) -> tuple[int, ...]:
     seq = parse_sequence(args.seq)
-    return reduce_sequence(seq) if getattr(args, "reduce", False) else seq
+    return reduce_sequence(seq) if args.reduce else seq
 
 
 def _load_matrix(arg: str) -> tuple[tuple[int, ...], ...]:
@@ -74,9 +74,8 @@ def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _write_quiver(args: argparse.Namespace, q) -> None:
-    payload = dump_quiver(q)
-    if getattr(args, "out", None):
+def _write_out(args: argparse.Namespace, payload: str) -> None:
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
@@ -87,7 +86,7 @@ def _write_quiver(args: argparse.Namespace, q) -> None:
 
 def _cmd_mutate(args) -> int:
     q = load_quiver(args.infile)
-    _write_quiver(args, q.mutate_seq(_read_sequence(args)))
+    _write_out(args, dump_quiver(q.mutate_seq(_read_sequence(args))))
     return 0
 
 
@@ -111,13 +110,13 @@ def _cmd_reddening_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_search(args, green_only: bool) -> int:
+def _cmd_search(args) -> int:
     q = load_quiver(args.infile)
     result = search_reddening(
         q,
         max_len=args.max_len,
         reduced_only=args.reduced,
-        green_only=green_only or args.green,
+        green_only=args.green_only,
         first_only=args.first,
         prune_revisited=args.prune_revisited,
     )
@@ -257,12 +256,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    payload = to_dot(load_quiver(args.infile))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write_out(args, to_dot(load_quiver(args.infile)))
     return 0
 
 
@@ -274,42 +268,39 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quiver mutation, reddening sequences, and mutation cycles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", action="store_true", help="JSON report output")
+    quiver_in = argparse.ArgumentParser(add_help=False, parents=[report])
+    quiver_in.add_argument("--in", dest="infile", required=True)
+    sequence_in = argparse.ArgumentParser(add_help=False, parents=[quiver_in])
+    sequence_in.add_argument("--seq", required=True)
+    sequence_in.add_argument("--reduce", action="store_true", help="reduce the sequence first")
 
-    def add(name: str, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--json", action="store_true", help="JSON report output")
+    def add(name: str, handler, parent: argparse.ArgumentParser, help_text: str):
+        p = sub.add_parser(name, parents=[parent], help=help_text)
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("mutate", help="mutate a quiver along a sequence")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--reduce", action="store_true", help="reduce the sequence first")
+    p = add("mutate", _cmd_mutate, sequence_in, "mutate a quiver along a sequence")
     p.add_argument("--out")
 
-    p = add("cmatrix", help="C-matrix of a sequence")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--reduce", action="store_true", help="reduce the sequence first")
+    add("cmatrix", _cmd_cmatrix, sequence_in, "C-matrix of a sequence")
 
-    p = add("reddening-verify", help="check a reddening (or maximal green) sequence")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--reduce", action="store_true", help="reduce the sequence first")
+    p = add("reddening-verify", _cmd_reddening_verify, sequence_in,
+            "check a reddening (or maximal green) sequence")
     p.add_argument("--green", action="store_true", help="require maximal green")
 
-    for name, help_text in (
-        ("reddening-search", "enumerate reddening sequences up to a length"),
-        ("mgs-search", "enumerate maximal green sequences up to a length"),
-    ):
-        p = add(name, help=help_text)
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--max-len", type=int, required=True)
-        p.add_argument("--reduced", action="store_true")
-        p.add_argument("--green", action="store_true")
-        p.add_argument("--first", action="store_true")
-        p.add_argument("--prune-revisited", action="store_true")
+    search = argparse.ArgumentParser(add_help=False, parents=[quiver_in])
+    search.add_argument("--max-len", type=int, required=True)
+    search.add_argument("--reduced", action="store_true")
+    search.add_argument("--first", action="store_true")
+    search.add_argument("--prune-revisited", action="store_true")
+    p = add("reddening-search", _cmd_search, search, "enumerate reddening sequences up to a length")
+    p.add_argument("--green", dest="green_only", action="store_true")
+    p = add("mgs-search", _cmd_search, search, "enumerate maximal green sequences up to a length")
+    p.set_defaults(green_only=True)
 
-    p = add("cycle-build", help="build a mutation cycle from two factors")
+    p = add("cycle-build", _cmd_cycle_build, report, "build a mutation cycle from two factors")
     p.add_argument("mode", choices=["equal", "general", "acyclic"])
     p.add_argument("--t", required=True, help="T factor quiver file")
     p.add_argument("--h", required=True, help="H factor quiver file")
@@ -319,83 +310,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default="", help="T conjugator (acyclic mode)")
     p.add_argument("--n", default="", help="H conjugator (acyclic mode)")
 
-    p = add("cycle-verify", help="verify a candidate mutation cycle")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--reduce", action="store_true", help="reduce the sequence first")
+    add("cycle-verify", _cmd_cycle_verify, sequence_in, "verify a candidate mutation cycle")
+    add("classify", _cmd_classify, quiver_in, "structural predicates of a quiver")
 
-    p = add("classify", help="structural predicates of a quiver")
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = add("forkless", help="explore the forkless part")
-    p.add_argument("--in", dest="infile", required=True)
+    p = add("forkless", _cmd_forkless, quiver_in, "explore the forkless part")
     p.add_argument("--budget", type=int)
 
-    p = add("enumerate", help="enumerate the mutation class up to isomorphism")
-    p.add_argument("--in", dest="infile", required=True)
+    p = add("enumerate", _cmd_enumerate, quiver_in, "enumerate the mutation class up to isomorphism")
     p.add_argument("--budget", type=int)
 
-    p = add("distinguishing", help="test a distinguishing matrix")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--reduce", action="store_true", help="reduce the sequence first")
+    p = add("distinguishing", _cmd_distinguishing, sequence_in, "test a distinguishing matrix")
     p.add_argument("--a", required=True)
 
-    p = add("catalog", help="list, show, or verify catalog items")
+    p = add("catalog", _cmd_catalog, report, "list, show, or verify catalog items")
     p.add_argument("action", choices=["list", "show", "verify"])
     p.add_argument("name", nargs="?", default="all")
 
-    p = add("export-dot", help="Graphviz DOT export")
-    p.add_argument("--in", dest="infile", required=True)
+    p = add("export-dot", _cmd_export_dot, quiver_in, "Graphviz DOT export")
     p.add_argument("--out")
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "mutate":
-            return _cmd_mutate(args)
-        if args.command == "cmatrix":
-            return _cmd_cmatrix(args)
-        if args.command == "reddening-verify":
-            return _cmd_reddening_verify(args)
-        if args.command == "reddening-search":
-            return _cmd_search(args, green_only=False)
-        if args.command == "mgs-search":
-            return _cmd_search(args, green_only=True)
-        if args.command == "cycle-build":
-            return _cmd_cycle_build(args)
-        if args.command == "cycle-verify":
-            return _cmd_cycle_verify(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "forkless":
-            return _cmd_forkless(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "distinguishing":
-            return _cmd_distinguishing(args)
-        if args.command == "catalog":
-            return _cmd_catalog(args)
-        if args.command == "export-dot":
-            return _cmd_export_dot(args)
-        parser.error(f"unknown command {args.command}")
+        return args.handler(args)
     except (NotReddeningError, NonIdentityPermutationError, CycleConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RedcycleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -81,3 +81,7 @@ class UnknownNameError(RedcycleError):
 
 class FormatError(RedcycleError):
     """Malformed quiver file or command-line argument."""
+
+
+class OutOfRangeError(RedcycleError, ValueError):
+    """A length bound or node budget outside its legal range."""

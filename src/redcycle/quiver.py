@@ -52,10 +52,17 @@ def is_reduced(seq: Sequence[int]) -> bool:
     return all(a != b for a, b in zip(seq, seq[1:]))
 
 
-def _mutated_rows(rows: list[list[int]], k: int) -> list[list[int]]:
-    """Matrix-form mutation at index k. Caller owns validation and scrubbing."""
+def _mutated_rows(
+    rows: Sequence[Sequence[int]], k: int, frozen: Sequence[int] = ()
+) -> list[list[int]]:
+    """Matrix-form mutation at index k; the caller owns validation.
+
+    Paths frozen -> k -> frozen would create arrows between the frozen
+    indices ``frozen``; they never feed back into anything, so every entry
+    between two of them is cleared.
+    """
     n = len(rows)
-    new = [row[:] for row in rows]
+    new = [list(row) for row in rows]
     rowk = rows[k]
     pos_in = [(i, rows[i][k]) for i in range(n) if rows[i][k] > 0]
     pos_out = [(j, rowk[j]) for j in range(n) if rowk[j] > 0]
@@ -68,6 +75,10 @@ def _mutated_rows(rows: list[list[int]], k: int) -> list[list[int]]:
     for i in range(n):
         new[i][k] = -rows[i][k]
     new[k] = [-x for x in rowk]
+    for a in frozen:
+        row = new[a]
+        for c in frozen:
+            row[c] = 0
     return new
 
 
@@ -255,14 +266,8 @@ class Quiver:
         ``b(u, v) * b(v, w)``, then row and column ``v`` change sign.
         """
         k = self._check_mutable(v)
-        new = _mutated_rows([list(r) for r in self._rows], k)
-        if self._frozen_pairs:
-            # Paths frozen -> v -> frozen would create frozen-frozen arrows;
-            # they never feed back into anything, so drop them.
-            fro = [self._index[f] for f in self.frozen_labels]
-            for a in fro:
-                for c in fro:
-                    new[a][c] = 0
+        frozen = [self._index[f] for _, f in self._frozen_pairs]
+        new = _mutated_rows(self._rows, k, frozen)
         return Quiver(self._mutable, new, self._labels, self._frozen_pairs)
 
     def mutate_seq(self, seq: Iterable[int]) -> "Quiver":

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import canonical_form, default_budget
-from .errors import AlreadyFramedError
+from .classify import explore
+from .errors import AlreadyFramedError, OutOfRangeError
 from .framing import CMatrix, framed
 from .permutation import Permutation
 from .quiver import MutationSequence, Quiver, _mutated_rows
@@ -69,6 +69,8 @@ def search_reddening(
     """
     if q.is_framed:
         raise AlreadyFramedError("search_reddening expects an unframed base quiver")
+    if max_len < 0:
+        raise OutOfRangeError(f"max_len must be >= 0, got {max_len}")
     start = framed(q)
     labels = start.labels
     r = q.rank
@@ -108,10 +110,7 @@ def search_reddening(
                 continue
             if green_only and not is_green(rows, i):
                 continue
-            child = _mutated_rows(rows, i)
-            for a in fro_positions:
-                for b in fro_positions:
-                    child[a][b] = 0
+            child = _mutated_rows(rows, i, fro_positions)
             if any(abs(x) > weight_limit for row in child for x in row):
                 overflow += 1
                 continue
@@ -155,27 +154,6 @@ class ClassEnumeration:
 
 def enumerate_class(q: Quiver, node_budget: int | None = None) -> ClassEnumeration:
     """Breadth-first enumeration of the mutation class, deduplicated by
-    canonical form, halting at the node budget."""
-    budget = node_budget if node_budget is not None else default_budget()
-    start = canonical_form(q)
-    forms: dict[bytes, Quiver] = {start: q}
-    level = {start: q}
-    stop = len(forms) >= budget and bool(level)
-    while level and not stop:
-        next_level: dict[bytes, Quiver] = {}
-        for _, rep in sorted(level.items()):
-            if stop:
-                break
-            for v in rep.mutable_labels:
-                neighbor = rep.mutate(v)
-                form = canonical_form(neighbor)
-                if form in forms:
-                    continue
-                forms[form] = neighbor
-                next_level[form] = neighbor
-                if len(forms) >= budget:
-                    stop = True
-                    break
-        level = next_level
-    return ClassEnumeration(forms=forms, exhausted=not stop)
-
+    canonical form, halting at the node budget (see :func:`explore`)."""
+    forms, exhausted = explore(q, node_budget)
+    return ClassEnumeration(forms=forms, exhausted=exhausted)

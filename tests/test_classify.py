@@ -1,5 +1,6 @@
 """Structural predicates, canonical forms, forkless exploration."""
 
+import importlib
 import random
 
 import pytest
@@ -17,7 +18,8 @@ from redcycle import (
     is_acyclic,
     catalog_item,
 )
-from redcycle.errors import AlreadyFramedError, ForkStartError
+from redcycle.classify import DEFAULT_BUDGET, default_budget
+from redcycle.errors import AlreadyFramedError, ForkStartError, FormatError
 
 from conftest import random_abundant_acyclic, random_fork, random_quiver
 
@@ -176,3 +178,47 @@ def test_forkless_explore_budget_halts():
     report = forkless_explore(q, node_budget=2)
     assert not report.exhausted
     assert len(report.forms) == 2
+
+
+def test_forkless_explore_classifies_each_form_once(monkeypatch):
+    module = importlib.import_module("redcycle.classify")
+    real = module.classify
+    seen: list[bytes] = []
+
+    def counting(q):
+        seen.append(canonical_form(q))
+        return real(q)
+
+    monkeypatch.setattr(module, "classify", counting)
+    for q, discard in (
+        (catalog_item("infinite_reduced_key").quivers["Q"], True),
+        (catalog_item("infinite_reduced_key").quivers["Q"], False),
+        (box_quiver(2, 2), False),
+    ):
+        seen.clear()
+        report = forkless_explore(q, node_budget=30, discard_preforks=discard)
+        assert len(seen) == len(set(seen))
+        assert set(report.forms) <= set(seen)
+
+
+def test_forkless_explore_rejects_budget_below_one():
+    q = Quiver.from_arrows([1, 2], [(1, 2)])
+    for budget in (0, -5):
+        with pytest.raises(ValueError):
+            forkless_explore(q, node_budget=budget)
+    report = forkless_explore(q, node_budget=1)
+    assert len(report.forms) == 1 and not report.exhausted
+
+
+def test_default_budget_rejects_malformed_environment(monkeypatch):
+    q = Quiver.from_arrows([1, 2], [(1, 2)])
+    for value in ("abc", "0", "-5", "1.5"):
+        monkeypatch.setenv("REDCYCLE_BUDGET", value)
+        with pytest.raises(FormatError):
+            default_budget()
+        with pytest.raises(FormatError):
+            forkless_explore(q)
+    monkeypatch.setenv("REDCYCLE_BUDGET", "7")
+    assert default_budget() == 7
+    monkeypatch.setenv("REDCYCLE_BUDGET", "")
+    assert default_budget() == DEFAULT_BUDGET

@@ -203,3 +203,28 @@ def test_cli_output_is_byte_deterministic(kprime_file, capsys):
     first = capsys.readouterr().out
     main(["catalog", "show", "R33", "--json"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["reddening-search", "--in", "{q}", "--max-len", "-1"],
+    ["mgs-search", "--in", "{q}", "--max-len", "-1", "--json"],
+    ["enumerate", "--in", "{q}", "--budget", "-5"],
+    ["enumerate", "--in", "{q}", "--budget", "0", "--json"],
+    ["forkless", "--in", "{q}", "--budget", "-5"],
+])
+def test_cli_out_of_range_arguments_exit_2(kprime_file, capsys, argv):
+    assert main([arg.format(q=kprime_file) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["enumerate", "forkless"])
+def test_cli_malformed_budget_environment_exits_2(kprime_file, capsys, monkeypatch, command):
+    monkeypatch.setenv("REDCYCLE_BUDGET", "abc")
+    assert main([command, "--in", kprime_file]) == 2
+    assert capsys.readouterr().err.startswith("error: REDCYCLE_BUDGET")
+    monkeypatch.setenv("REDCYCLE_BUDGET", "3")
+    assert main([command, "--in", kprime_file, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["forms"] == 3

@@ -16,6 +16,7 @@ from redcycle.errors import (
     IntegerOverflowError,
     UnknownVertexError,
 )
+from redcycle.quiver import _mutated_rows
 
 from conftest import random_quiver, random_sequence
 
@@ -314,3 +315,16 @@ def test_permutation_rejects_non_bijection():
         Permutation({1: 2, 3: 2})
     with pytest.raises(ValueError):
         Permutation.from_cycles((1, 2), (2, 3))
+
+
+def test_kernel_clears_frozen_frozen_entries():
+    # The path 11 -> 1 -> 12 through the mutated vertex would create the
+    # arrow 11 -> 12 between two frozen vertices.
+    q = Quiver.from_arrows([1, 2, 11, 12], [(1, 2), (11, 1), (1, 12)], frozen_pairs=[(1, 11), (2, 12)])
+    rows = [list(r) for r in q.rows()]
+    raw = _mutated_rows(rows, 0)
+    assert raw[2][3] != 0
+    scrubbed = _mutated_rows(rows, 0, [2, 3])
+    assert scrubbed[2][3] == scrubbed[3][2] == 0
+    assert [r[:2] for r in scrubbed] == [r[:2] for r in raw]
+    assert q.mutate(1).rows() == tuple(map(tuple, scrubbed))

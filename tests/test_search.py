@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from redcycle import (
     Permutation,
     Quiver,
@@ -172,3 +174,20 @@ def test_enumerate_class_budget():
     result = enumerate_class(tri, node_budget=2)
     assert not result.exhausted
     assert len(result.forms) == 2
+
+
+def test_enumerate_class_rejects_budget_below_one():
+    tri = Quiver.from_arrows([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
+    for budget in (0, -5):
+        with pytest.raises(ValueError):
+            enumerate_class(tri, node_budget=budget)
+    result = enumerate_class(tri, node_budget=1)
+    assert len(result.forms) == 1 and not result.exhausted
+
+
+def test_search_rejects_negative_max_len():
+    q = Quiver.from_arrows([1, 2], [(1, 2)])
+    with pytest.raises(ValueError):
+        search_reddening(q, max_len=-1)
+    result = search_reddening(q, max_len=0)
+    assert len(result) == 0 and result.complete
