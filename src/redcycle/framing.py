@@ -5,18 +5,24 @@ coframing orients those arrows the other way.  The C-matrix of a mutation
 sequence records, for each mutable vertex, its signed arrow counts to the
 frozen vertices of the mutated framed quiver.  Row sign-coherence of every
 C-matrix is a theorem, so a violation is always raised as a hard error.
+
+This module is the only reader of framed states: every C-matrix, vertex
+color and reddening verdict (``CMatrix.reddening_permutation``) in the
+package comes from here, the search's raw-matrix walk included.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     AlreadyFramedError,
+    InternalContradictionError,
     NotFramedError,
     SignCoherenceError,
+    UnknownVertexError,
     ZeroRowError,
 )
 from .permutation import Permutation
@@ -59,6 +65,17 @@ def _extend(q: Quiver, down: bool) -> Quiver:
     return Quiver.from_arrows(vertices, arrows, frozen_pairs=pairs)
 
 
+def _color(row: Sequence[int], v: int) -> Color:
+    """Green for a non-negative C-matrix row of vertex ``v``, red for a
+    non-positive one; a mixed or zero row contradicts sign-coherence."""
+    lo, hi = min(row), max(row)
+    if lo < 0 < hi:
+        raise SignCoherenceError(f"row of vertex {v} mixes signs: {tuple(row)}")
+    if lo == hi == 0:
+        raise ZeroRowError(f"row of vertex {v} is zero")
+    return Color.GREEN if hi > 0 else Color.RED
+
+
 @dataclass(frozen=True)
 class CMatrix:
     """Square integer matrix of mutable-to-frozen arrow counts.
@@ -71,12 +88,6 @@ class CMatrix:
     labels: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[self.labels.index(i)][self.labels.index(j)]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[self.labels.index(i)]
-
     @property
     def is_identity(self) -> bool:
         n = len(self.labels)
@@ -84,14 +95,11 @@ class CMatrix:
 
     def row_color(self, i: int) -> Color:
         """Green for a non-negative row, red for a non-positive one."""
-        row = self.row(i)
-        has_pos = any(x > 0 for x in row)
-        has_neg = any(x < 0 for x in row)
-        if has_pos and has_neg:
-            raise SignCoherenceError(f"row of vertex {i} mixes signs: {row}")
-        if not has_pos and not has_neg:
-            raise ZeroRowError(f"row of vertex {i} is zero")
-        return Color.GREEN if has_pos else Color.RED
+        try:
+            k = self.labels.index(i)
+        except ValueError:
+            raise UnknownVertexError(f"unknown vertex {i}") from None
+        return _color(self.rows[k], i)
 
     def all_red(self) -> bool:
         return all(x <= 0 for row in self.rows for x in row)
@@ -111,6 +119,21 @@ class CMatrix:
                 return None
             mapping[self.labels[col]] = self.labels[hits[0]]
         return Permutation(mapping)
+
+    def reddening_permutation(self) -> Permutation | None:
+        """The associated permutation if every row is red, else None.
+
+        An all-red C-matrix is forced to be minus a permutation matrix, so
+        any other all-red shape signals a bug rather than a valid state.
+        """
+        if not self.all_red():
+            return None
+        sigma = self.as_neg_permutation()
+        if sigma is None:
+            raise InternalContradictionError(
+                f"all-red C-matrix is not minus a permutation matrix: {self.rows}"
+            )
+        return sigma
 
     def determinant(self) -> int:
         """Exact integer determinant (Bareiss fraction-free elimination)."""
@@ -134,21 +157,36 @@ class CMatrix:
         return sign * m[n - 1][n - 1] if n else 1
 
 
-def read_c_matrix(framed_state: Quiver, base_labels: Iterable[int] | None = None) -> CMatrix:
-    """Read the mutable-by-frozen block out of a framed (and mutated) quiver."""
-    if not framed_state.is_framed:
-        raise NotFramedError("quiver carries no frozen vertices")
-    labels = tuple(sorted(base_labels)) if base_labels is not None else framed_state.mutable_labels
+_Positions = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _positions(framed_state: Quiver) -> _Positions:
+    """The mutable labels in ascending order, the row of each and the column
+    of its frozen partner.  Mutation never moves a label, so the positions
+    read off a walk's first state serve every state of the walk."""
     partner = dict(framed_state.frozen_pairs)
-    rows = tuple(
-        tuple(framed_state.b(i, partner[j]) for j in labels) for i in labels
-    )
-    return CMatrix(labels, rows)
+    mutable = framed_state.mutable_labels
+    if any(v not in partner for v in mutable):
+        raise NotFramedError("some mutable vertex has no frozen partner")
+    index = {v: i for i, v in enumerate(framed_state.labels)}
+    return mutable, tuple(index[v] for v in mutable), tuple(index[partner[v]] for v in mutable)
 
 
-def _check_coherent(c: CMatrix) -> None:
-    for v in c.labels:
-        c.row_color(v)  # raises on a mixed-sign or zero row
+def _read(rows: Sequence[Sequence[int]], pos: _Positions) -> CMatrix:
+    """The C-matrix of exchange-matrix ``rows`` at the positions ``pos``."""
+    labels, at, cols = pos
+    return CMatrix(labels, tuple(tuple(rows[i][c] for c in cols) for i in at))
+
+
+def read_c_matrix(framed_state: Quiver) -> CMatrix:
+    """Read the mutable-by-frozen block out of a framed (and mutated) quiver."""
+    return _read(framed_state.rows(), _positions(framed_state))
+
+
+def _coherent(c: CMatrix) -> CMatrix:
+    for v, row in zip(c.labels, c.rows):
+        _color(row, v)  # raises on a mixed-sign or zero row
+    return c
 
 
 def c_matrix(q: Quiver, seq: Iterable[int]) -> CMatrix:
@@ -157,18 +195,15 @@ def c_matrix(q: Quiver, seq: Iterable[int]) -> CMatrix:
     Sign-coherence and the no-zero-row property are asserted at every
     intermediate step, not just at the end.
     """
-    if q.is_framed:
-        raise AlreadyFramedError("c_matrix expects an unframed base quiver")
     state = framed(q)
-    _check_coherent(read_c_matrix(state))
+    pos = _positions(state)
+    c = _coherent(_read(state.rows(), pos))
     for v in seq:
         state = state.mutate(v)
-        _check_coherent(read_c_matrix(state))
-    return read_c_matrix(state)
+        c = _coherent(_read(state.rows(), pos))
+    return c
 
 
 def vertex_color(framed_state: Quiver, v: int) -> Color:
     """Green if all arrows from ``v`` point into the frame, red if all out of it."""
-    if not framed_state.is_framed:
-        raise NotFramedError("vertex_color needs a framed quiver")
     return read_c_matrix(framed_state).row_color(v)

@@ -103,33 +103,41 @@ class Quiver:
         """Build a quiver from an exchange matrix.
 
         ``rows`` is indexed by ``labels`` (all labels, mutable then frozen in
-        ascending order if omitted).  Prefer :meth:`from_arrows` for literal
+        ascending order if omitted).  The rows are stored in that ascending
+        layout whatever order ``labels`` lists, so equal quivers compare,
+        hash and encode equal.  Prefer :meth:`from_arrows` for literal
         quivers.
         """
         self._mutable = tuple(sorted(mutable_labels))
         self._frozen_pairs = tuple(sorted(frozen_pairs))
         frozen = tuple(sorted(f for _, f in self._frozen_pairs))
-        self._labels = tuple(labels) if labels is not None else self._mutable + frozen
+        self._labels = self._mutable + frozen
         self._index = {v: i for i, v in enumerate(self._labels)}
         self._rows = tuple(tuple(int(x) for x in row) for row in rows)
-        self._validate(frozen)
+        self._validate(frozen, self._labels if labels is None else tuple(labels))
 
-    def _validate(self, frozen: tuple[int, ...]) -> None:
-        labels = self._labels
+    def _validate(self, frozen: tuple[int, ...], labels: tuple[int, ...]) -> None:
+        """Check the caller's labels and matrix, then store the rows in the
+        ascending layout."""
         n = len(labels)
-        if len(self._index) != n:
+        if set(self._mutable) & set(frozen):
+            raise ValueError("frozen labels must be disjoint from mutable labels")
+        if len(self._index) != n or len(self._labels) != n:
             raise ValueError("duplicate vertex labels")
         if any(not isinstance(v, int) or v < 1 for v in labels):
             raise ValueError("labels must be positive integers")
-        if set(self._mutable) | set(frozen) != set(labels):
+        if set(self._labels) != set(labels):
             raise ValueError("labels do not match the mutable/frozen split")
-        if set(self._mutable) & set(frozen):
-            raise ValueError("frozen labels must be disjoint from mutable labels")
         mut_of = [m for m, _ in self._frozen_pairs]
         if len(set(mut_of)) != len(mut_of) or any(m not in self._index for m in mut_of):
             raise ValueError("invalid frozen pairing")
         if len(self._rows) != n or any(len(r) != n for r in self._rows):
             raise ValueError("exchange matrix shape does not match labels")
+        if labels != self._labels:
+            at = {v: i for i, v in enumerate(labels)}
+            idx = [at[v] for v in self._labels]
+            self._rows = tuple(tuple(self._rows[a][b] for b in idx) for a in idx)
+            labels = self._labels
         rows = self._rows
         fro_idx = [self._index[f] for f in frozen]
         for i in range(n):
@@ -211,12 +219,6 @@ class Quiver:
     @property
     def is_framed(self) -> bool:
         return bool(self._frozen_pairs)
-
-    def frozen_partner(self, v: int) -> int:
-        for m, f in self._frozen_pairs:
-            if m == v:
-                return f
-        raise UnknownVertexError(f"vertex {v} has no frozen partner")
 
     def b(self, i: int, j: int) -> int:
         """Signed arrow count from ``i`` to ``j``."""
@@ -301,10 +303,6 @@ class Quiver:
         rows = [[self._rows[a][b] for b in idx] for a in idx]
         return Quiver(mutable, rows, labels, pairs)
 
-    def mutable_part(self) -> "Quiver":
-        """The quiver with every frozen vertex deleted."""
-        return self.restrict(self._mutable)
-
     def opposite(self) -> "Quiver":
         """The quiver with all arrows reversed."""
         rows = [[-x for x in row] for row in self._rows]
@@ -338,13 +336,9 @@ class Quiver:
         full = {v: mapping.get(v, v) for v in self._labels}
         if len(set(full.values())) != len(full):
             raise ValueError("relabeling is not injective")
-        new_mutable = sorted(full[v] for v in self._mutable)
-        new_pairs = tuple(sorted((full[m], full[f]) for m, f in self._frozen_pairs))
-        new_labels = sorted(full.values())
-        back = {full[v]: v for v in self._labels}
-        idx = [self._index[back[w]] for w in new_labels]
-        rows = [[self._rows[a][b] for b in idx] for a in idx]
-        return Quiver(new_mutable, rows, new_labels, new_pairs)
+        new_mutable = [full[v] for v in self._mutable]
+        new_pairs = [(full[m], full[f]) for m, f in self._frozen_pairs]
+        return Quiver(new_mutable, self._rows, [full[v] for v in self._labels], new_pairs)
 
     # -- degree helpers -------------------------------------------------
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import CyclicQuiverError, InternalContradictionError
-from .framing import Color, c_matrix, framed, read_c_matrix
+from .errors import CyclicQuiverError
+from .framing import Color, _positions, _read, c_matrix, framed
 from .permutation import Permutation
 from .quiver import MutationSequence, Quiver, inverse_sequence, reduce_sequence
 
@@ -22,18 +22,8 @@ def is_reddening(q: Quiver, seq: Iterable[int]) -> Permutation | None:
 
     Every downstream construction consumes the permutation, so it is
     returned instead of a bare boolean; ``None`` encodes "not reddening".
-    An all-red C-matrix is forced to be minus a permutation matrix, so any
-    other all-red shape signals a bug rather than a valid state.
     """
-    c = c_matrix(q, tuple(seq))
-    if not c.all_red():
-        return None
-    sigma = c.as_neg_permutation()
-    if sigma is None:
-        raise InternalContradictionError(
-            f"all-red C-matrix is not minus a permutation matrix: {c.rows}"
-        )
-    return sigma
+    return c_matrix(q, tuple(seq)).reddening_permutation()
 
 
 def is_maximal_green(q: Quiver, seq: Iterable[int]) -> Permutation | None:
@@ -43,19 +33,12 @@ def is_maximal_green(q: Quiver, seq: Iterable[int]) -> Permutation | None:
     state is not all red.
     """
     state = framed(q)
+    pos = _positions(state)
     for v in seq:
-        if read_c_matrix(state).row_color(v) is not Color.GREEN:
+        if _read(state.rows(), pos).row_color(v) is not Color.GREEN:
             return None
         state = state.mutate(v)
-    c = read_c_matrix(state)
-    if not c.all_red():
-        return None
-    sigma = c.as_neg_permutation()
-    if sigma is None:
-        raise InternalContradictionError(
-            f"all-red C-matrix is not minus a permutation matrix: {c.rows}"
-        )
-    return sigma
+    return _read(state.rows(), pos).reddening_permutation()
 
 
 def conjugate_reddening(

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import explore
-from .errors import AlreadyFramedError, OutOfRangeError
-from .framing import CMatrix, framed
+from .errors import OutOfRangeError
+from .framing import Color, _color, _positions, _read, framed
 from .permutation import Permutation
 from .quiver import MutationSequence, Quiver, _mutated_rows
 
@@ -67,50 +67,30 @@ def search_reddening(
         contains a removable loop).  Off by default, since it changes which
         sequences are reported, not just how fast.
     """
-    if q.is_framed:
-        raise AlreadyFramedError("search_reddening expects an unframed base quiver")
     if max_len < 0:
         raise OutOfRangeError(f"max_len must be >= 0, got {max_len}")
     start = framed(q)
-    labels = start.labels
-    r = q.rank
-    mut_positions = list(range(r))
-    partner_col = [labels.index(start.frozen_partner(labels[i])) for i in mut_positions]
+    mutable, at, cols = pos = _positions(start)
     rows0 = [list(row) for row in start.rows()]
-    fro_positions = list(range(r, len(labels)))
 
     found: list[tuple[MutationSequence, Permutation]] = []
     overflow = 0
     stop = False
 
-    def frozen_block_rows(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(rows[i][c] for c in partner_col) for i in mut_positions)
-
     def all_red(rows: list[list[int]]) -> bool:
-        return all(rows[i][c] <= 0 for i in mut_positions for c in partner_col)
-
-    def is_green(rows: list[list[int]], i: int) -> bool:
-        row = [rows[i][c] for c in partner_col]
-        return all(x >= 0 for x in row) and any(x > 0 for x in row)
-
-    def record(rows: list[list[int]], seq: tuple[int, ...]) -> None:
-        c = CMatrix(q.mutable_labels, frozen_block_rows(rows))
-        sigma = c.as_neg_permutation()
-        assert sigma is not None, "all-red C-matrix is not minus a permutation matrix"
-        found.append((seq, sigma))
+        return all(rows[i][c] <= 0 for i in at for c in cols)
 
     def dfs(rows: list[list[int]], seq: tuple[int, ...], path: set, depth: int) -> None:
         nonlocal overflow, stop
         if stop or depth == max_len:
             return
         last = seq[-1] if seq else None
-        for i in mut_positions:
-            v = labels[i]
+        for i, v in zip(at, mutable):
             if reduced_only and v == last:
                 continue
-            if green_only and not is_green(rows, i):
+            if green_only and _color([rows[i][c] for c in cols], v) is not Color.GREEN:
                 continue
-            child = _mutated_rows(rows, i, fro_positions)
+            child = _mutated_rows(rows, i, cols)
             if any(abs(x) > weight_limit for row in child for x in row):
                 overflow += 1
                 continue
@@ -121,7 +101,7 @@ def search_reddening(
                     continue
             child_seq = seq + (v,)
             if all_red(child):
-                record(child, child_seq)
+                found.append((child_seq, _read(child, pos).reddening_permutation()))
                 if first_only:
                     stop = True
                     return

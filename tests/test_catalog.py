@@ -1,5 +1,7 @@
 """Catalog generators and the self-verifying registry."""
 
+from dataclasses import replace
+
 import pytest
 
 from redcycle import (
@@ -20,8 +22,8 @@ from redcycle import (
     punctured_sphere_names,
     verify_cycle,
 )
-from redcycle.catalog import verify_item
-from redcycle.errors import UnknownNameError
+from redcycle.catalog import _verify_three_torus, verify_item
+from redcycle.errors import IntegerOverflowError, UnknownNameError
 
 
 def test_every_registry_item_verifies():
@@ -218,3 +220,19 @@ def test_relabeled_requires_injective_mapping():
     q = grid_quiver(2, 2)
     with pytest.raises(ValueError):
         q.relabeled({1: 2})
+
+
+def test_three_torus_check_pins_the_overflow_step():
+    # The recorded splice must overflow exactly where the exact-integer
+    # walk of criterion 7e leaves 64 bits; a splice that overflows at
+    # another step is a different walk and fails the check.
+    name = "recorded 60-term splice diverges (known discrepancy)"
+    item = catalog_item("three_torus_extension")
+    assert dict((c, ok) for c, ok, _ in _verify_three_torus(item))[name]
+    shifted = (1, 1) + item.sequences["stated_cycle"]
+    q = item.quivers["Q"]
+    verify_cycle(q, shifted[:51])
+    with pytest.raises(IntegerOverflowError):
+        verify_cycle(q, shifted[:52])
+    moved = replace(item, sequences={**item.sequences, "stated_cycle": shifted})
+    assert not dict((c, ok) for c, ok, _ in _verify_three_torus(moved))[name]

@@ -40,6 +40,24 @@ def test_b_matrix_form_accepted():
     assert quiver_from_dict(doc) == Quiver.from_arrows([1, 2], [(1, 2, 3)])
 
 
+def test_b_matrix_label_order_does_not_change_the_quiver():
+    # The same quivers listed with their labels out of ascending order.
+    cases = [
+        ({"labels": [2, 1], "b_matrix": [[0, 1], [-1, 0]]}, Quiver.from_arrows([1, 2], [(2, 1)])),
+        (
+            {"labels": [12, 2, 1, 11], "b_matrix": [[0, 0, -1, 0], [0, 0, 1, 1], [1, -1, 0, 0], [0, -1, 0, 0]],
+             "frozen": [[1, 11], [2, 12]]},
+            Quiver.from_arrows([1, 2, 11, 12], [(2, 1), (1, 12), (2, 11)], frozen_pairs=[(1, 11), (2, 12)]),
+        ),
+    ]
+    for doc, expected in cases:
+        q = quiver_from_dict(doc)
+        assert q == expected
+        assert hash(q) == hash(expected)
+        assert q.encode() == expected.encode()
+        assert quiver_to_dict(q) == quiver_to_dict(expected)
+
+
 def test_arrows_output_is_canonical_and_deterministic():
     q = Quiver.from_arrows([1, 2, 3], [(2, 3, 4), (1, 2), (1, 3, 5)])
     doc = quiver_to_dict(q)
@@ -211,6 +229,7 @@ def test_cli_output_is_byte_deterministic(kprime_file, capsys):
     ["enumerate", "--in", "{q}", "--budget", "-5"],
     ["enumerate", "--in", "{q}", "--budget", "0", "--json"],
     ["forkless", "--in", "{q}", "--budget", "-5"],
+    ["reddening-verify", "--in", "{q}", "--seq", "1,9", "--green"],
 ])
 def test_cli_out_of_range_arguments_exit_2(kprime_file, capsys, argv):
     assert main([arg.format(q=kprime_file) for arg in argv]) == 2

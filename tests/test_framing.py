@@ -7,13 +7,14 @@ import pytest
 from redcycle import (
     CMatrix,
     Color,
+    Permutation,
     Quiver,
     c_matrix,
     coframed,
     framed,
     vertex_color,
 )
-from redcycle.errors import AlreadyFramedError, NotFramedError
+from redcycle.errors import AlreadyFramedError, InternalContradictionError, NotFramedError
 from redcycle.framing import read_c_matrix
 
 from conftest import random_quiver, random_sequence
@@ -114,9 +115,27 @@ def test_vertex_color_examples():
     assert all(vertex_color(allred, v) is Color.RED for v in q.mutable_labels)
 
 
+def test_reader_follows_a_pairing_that_is_not_order_preserving():
+    # Vertex 1 is paired with 12 and vertex 2 with 11, so column j of the
+    # C-matrix is not the j-th frozen label.
+    q = Quiver.from_arrows(
+        [1, 2, 11, 12], [(1, 2), (1, 12), (1, 11, 2), (11, 2), (12, 2, 3)],
+        frozen_pairs=[(1, 12), (2, 11)],
+    )
+    partner = dict(q.frozen_pairs)
+    c = read_c_matrix(q)
+    assert c.rows == tuple(tuple(q.b(i, partner[j]) for j in (1, 2)) for i in (1, 2))
+    assert c.rows == ((1, 2), (-3, -1))
+    assert vertex_color(q, 1) is Color.GREEN
+    assert vertex_color(q, 2) is Color.RED
+
+
 def test_vertex_color_needs_frame():
     with pytest.raises(NotFramedError):
         vertex_color(path3(), 1)
+    # Vertex 2 keeps no frozen partner once 102 is dropped.
+    with pytest.raises(NotFramedError):
+        vertex_color(framed(path3()).restrict([1, 2, 3, 101, 103]), 1)
 
 
 def test_sign_coherence_along_random_trajectories():
@@ -201,3 +220,10 @@ def test_row_color_rejects_zero_and_mixed_rows():
         CMatrix((1, 2), ((0, 0), (0, 1))).row_color(1)
     with pytest.raises(SignCoherenceError):
         CMatrix((1, 2), ((1, -1), (0, 1))).row_color(1)
+
+
+def test_reddening_permutation_is_the_one_verdict():
+    assert CMatrix((1, 2), ((-1, 0), (0, 1))).reddening_permutation() is None
+    assert CMatrix((1, 2), ((0, -1), (-1, 0))).reddening_permutation() == Permutation.from_cycles((1, 2))
+    with pytest.raises(InternalContradictionError):
+        CMatrix((1, 2), ((-1, 0), (-1, -1))).reddening_permutation()
