@@ -183,6 +183,8 @@ class Quiver:
                 src, dst, mult = arrow  # type: ignore[misc]
             if src not in index or dst not in index:
                 raise UnknownVertexError(f"arrow endpoint {src if src not in index else dst} is not a vertex")
+            if src == dst:
+                raise ValueError(f"loop at vertex {src}: quivers have no loops")
             if mult < 1:
                 raise ValueError(f"arrow multiplicity must be >= 1, got {mult}")
             i, j = index[src], index[dst]
@@ -280,12 +282,17 @@ class Quiver:
         return q
 
     def trajectory(self, seq: Sequence[int]) -> tuple["Quiver", ...]:
-        """All intermediate quivers along ``seq``; has ``len(seq) + 1`` entries."""
+        """All intermediate quivers along ``seq``; has ``len(seq) + 1`` entries.
+
+        A step that leaves the 64-bit range raises ``IntegerOverflowError``
+        naming its index in ``seq``.
+        """
         out = [self]
-        q = self
-        for v in seq:
-            q = q.mutate(v)
-            out.append(q)
+        for step, v in enumerate(seq):
+            try:
+                out.append(out[-1].mutate(v))
+            except IntegerOverflowError as exc:
+                raise IntegerOverflowError(f"{exc}, at sequence index {step}") from None
         return tuple(out)
 
     # -- structural operations ----------------------------------------
@@ -318,18 +325,7 @@ class Quiver:
         """
         if any(v not in self._index or v not in self._mutable for v in sigma.support):
             raise UnknownVertexError("permutation moves labels outside the mutable vertices")
-        n = len(self._labels)
-        dest = [
-            self._index[sigma(v)] if v in self._mutable else a
-            for a, v in enumerate(self._labels)
-        ]
-        new = [[0] * n for _ in range(n)]
-        for a in range(n):
-            row = self._rows[a]
-            da = dest[a]
-            for b in range(n):
-                new[da][dest[b]] = row[b]
-        return Quiver(self._mutable, new, self._labels, self._frozen_pairs)
+        return Quiver(self._mutable, self._rows, [sigma(v) for v in self._labels], self._frozen_pairs)
 
     def relabeled(self, mapping: Mapping[int, int]) -> "Quiver":
         """Rename vertices along an injective mapping (identity where omitted)."""

@@ -72,21 +72,19 @@ def search_reddening(
     start = framed(q)
     mutable, at, cols = pos = _positions(start)
     rows0 = [list(row) for row in start.rows()]
-
     found: list[tuple[MutationSequence, Permutation]] = []
     overflow = 0
-    stop = False
-
-    def all_red(rows: list[list[int]]) -> bool:
-        return all(rows[i][c] <= 0 for i in at for c in cols)
-
-    def dfs(rows: list[list[int]], seq: tuple[int, ...], path: set, depth: int) -> None:
-        nonlocal overflow, stop
-        if stop or depth == max_len:
-            return
-        last = seq[-1] if seq else None
-        for i, v in zip(at, mutable):
-            if reduced_only and v == last:
+    # One frame per state on the current path: its rows, its sequence, its
+    # key (None unless prune_revisited, and then never looked up) and the
+    # vertices not yet tried from it.  Trying vertices in ascending order
+    # makes this a preorder walk, which emits sequences in lexicographic order.
+    key0 = tuple(map(tuple, rows0)) if prune_revisited else None
+    stack = [(rows0, (), key0, iter(zip(at, mutable)))] if max_len else []
+    path = {key0}
+    while stack:
+        rows, seq, key, untried = stack[-1]
+        for i, v in untried:
+            if reduced_only and seq and v == seq[-1]:
                 continue
             if green_only and _color([rows[i][c] for c in cols], v) is not Color.GREEN:
                 continue
@@ -94,30 +92,21 @@ def search_reddening(
             if any(abs(x) > weight_limit for row in child for x in row):
                 overflow += 1
                 continue
-            key = None
-            if prune_revisited:
-                key = tuple(tuple(row) for row in child)
-                if key in path:
-                    continue
+            child_key = tuple(map(tuple, child)) if prune_revisited else None
+            if prune_revisited and child_key in path:
+                continue
             child_seq = seq + (v,)
-            if all_red(child):
+            if all(child[r][c] <= 0 for r in at for c in cols):
                 found.append((child_seq, _read(child, pos).reddening_permutation()))
                 if first_only:
-                    stop = True
-                    return
-            if prune_revisited:
-                path.add(key)
-            dfs(child, child_seq, path, depth + 1)
-            if prune_revisited:
-                path.discard(key)
-            if stop:
-                return
-
-    path: set = set()
-    if prune_revisited:
-        path.add(tuple(tuple(row) for row in rows0))
-    dfs(rows0, (), path, 0)
-    found.sort(key=lambda item: item[0])
+                    return SearchResult(sequences=tuple(found), overflow_branches=overflow)
+            if len(child_seq) < max_len:
+                path.add(child_key)
+                stack.append((child, child_seq, child_key, iter(zip(at, mutable))))
+                break
+        else:
+            stack.pop()
+            path.discard(key)
     return SearchResult(sequences=tuple(found), overflow_branches=overflow)
 
 

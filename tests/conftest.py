@@ -9,6 +9,9 @@ from __future__ import annotations
 import random
 
 from redcycle import Quiver, classify
+from redcycle.framing import Color, _color, _positions, _read, framed
+from redcycle.quiver import _mutated_rows
+from redcycle.search import WEIGHT_GUARDRAIL
 
 
 def random_quiver(rng: random.Random, max_n: int = 8, max_weight: int = 9, min_n: int = 2) -> Quiver:
@@ -81,3 +84,68 @@ def random_sequence(rng: random.Random, q: Quiver, max_len: int, reduced: bool =
             continue
         seq.append(v)
     return tuple(seq)
+
+
+def reference_search_reddening(
+    q: Quiver,
+    max_len: int,
+    reduced_only: bool = False,
+    green_only: bool = False,
+    first_only: bool = False,
+    prune_revisited: bool = False,
+    weight_limit: int = WEIGHT_GUARDRAIL,
+) -> tuple[tuple, int]:
+    """Reference reddening search: the recursive depth-first walk that
+    ``search_reddening`` replaced, unchanged apart from its annotations and
+    its return value ``(sequences, overflow_branches)``.  Python's recursion
+    limit bounds ``max_len`` here to somewhat under 1,000."""
+    start = framed(q)
+    mutable, at, cols = pos = _positions(start)
+    rows0 = [list(row) for row in start.rows()]
+
+    found = []
+    overflow = 0
+    stop = False
+
+    def all_red(rows):
+        return all(rows[i][c] <= 0 for i in at for c in cols)
+
+    def dfs(rows, seq, path, depth):
+        nonlocal overflow, stop
+        if stop or depth == max_len:
+            return
+        last = seq[-1] if seq else None
+        for i, v in zip(at, mutable):
+            if reduced_only and v == last:
+                continue
+            if green_only and _color([rows[i][c] for c in cols], v) is not Color.GREEN:
+                continue
+            child = _mutated_rows(rows, i, cols)
+            if any(abs(x) > weight_limit for row in child for x in row):
+                overflow += 1
+                continue
+            key = None
+            if prune_revisited:
+                key = tuple(tuple(row) for row in child)
+                if key in path:
+                    continue
+            child_seq = seq + (v,)
+            if all_red(child):
+                found.append((child_seq, _read(child, pos).reddening_permutation()))
+                if first_only:
+                    stop = True
+                    return
+            if prune_revisited:
+                path.add(key)
+            dfs(child, child_seq, path, depth + 1)
+            if prune_revisited:
+                path.discard(key)
+            if stop:
+                return
+
+    path = set()
+    if prune_revisited:
+        path.add(tuple(tuple(row) for row in rows0))
+    dfs(rows0, (), path, 0)
+    found.sort(key=lambda item: item[0])
+    return tuple(found), overflow

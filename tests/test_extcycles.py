@@ -24,6 +24,7 @@ from redcycle import (
 )
 from redcycle.errors import (
     CyclicQuiverError,
+    IntegerOverflowError,
     LabelCollisionError,
     NegativeEntryError,
     NonIdentityPermutationError,
@@ -365,3 +366,14 @@ def test_verify_cycle_all_abundant_flag():
     assert report.all_abundant
     item = catalog_item("fig1_extension")
     assert not verify_cycle(item.quivers["extension"], item.sequences["cycle"]).all_abundant
+
+
+def test_verify_cycle_names_the_overflow_step():
+    # The recorded three-torus splice first leaves the 64-bit range at
+    # sequence index 49; two leading no-op steps move that to index 51.
+    item = catalog_item("three_torus_extension")
+    q, seq = item.quivers["Q"], item.sequences["stated_cycle"]
+    for walk, step in ((seq[:50], 49), (seq, 49), ((1, 1) + seq, 51)):
+        with pytest.raises(IntegerOverflowError) as info:
+            verify_cycle(q, walk)
+        assert str(info.value).endswith(f", at sequence index {step}")

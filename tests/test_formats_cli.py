@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from redcycle import Quiver, framed
+from redcycle import Quiver, catalog_item, framed
 from redcycle.cli import main
 from redcycle.errors import FormatError
 from redcycle.formats import (
@@ -74,6 +74,30 @@ def test_bad_documents_rejected():
         quiver_from_dict([1, 2])
     with pytest.raises(FormatError):
         quiver_from_dict({"labels": [1, 2], "b_matrix": [[0, 1], [1, 0]]})
+
+
+def test_loops_rejected_on_load(tmp_path, capsys):
+    doc = {"vertices": [1, 2], "arrows": [[1, 1]]}
+    with pytest.raises(FormatError, match="loop at vertex 1"):
+        quiver_from_dict(doc)
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: loop at vertex 1: quivers have no loops\n"
+
+
+def test_cli_cycle_verify_names_the_overflow_step(tmp_path, capsys):
+    item = catalog_item("three_torus_extension")
+    path = tmp_path / "q.json"
+    path.write_text(dump_quiver(item.quivers["Q"]))
+    seq = ",".join(map(str, item.sequences["stated_cycle"]))
+    assert main(["cycle-verify", "--in", str(path), "--seq", seq]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: arrow multiplicity exceeds 64-bit range")
+    assert captured.err.endswith(", at sequence index 49\n")
 
 
 def test_parse_sequence():

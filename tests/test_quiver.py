@@ -273,6 +273,32 @@ def test_from_arrows_rejects_two_directions():
         Quiver.from_arrows([1, 2], [(1, 2, 1), (2, 1, 1)])
 
 
+def test_from_arrows_rejects_loops():
+    for arrow in ((1, 1), (2, 2, 3)):
+        with pytest.raises(ValueError, match=f"loop at vertex {arrow[0]}"):
+            Quiver.from_arrows([1, 2], [arrow])
+
+
+def _zeros(n):
+    return [[0] * n for _ in range(n)]
+
+
+@pytest.mark.parametrize("args, message", [
+    (([1, 2], _zeros(2), None, [(1, 2)]), "frozen labels must be disjoint from mutable labels"),
+    (([1, 1], _zeros(2)), "duplicate vertex labels"),
+    (([0, 1], _zeros(2)), "labels must be positive integers"),
+    (([1, 2], _zeros(2), [1, 3]), "labels do not match the mutable/frozen split"),
+    (([1, 2], _zeros(3), None, [(5, 3)]), "invalid frozen pairing"),
+    (([1, 2], [[0, 0]]), "exchange matrix shape does not match labels"),
+    (([1, 2], [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], None, [(1, 3), (2, 4)]),
+     "arrows between frozen vertices are not stored"),
+])
+def test_constructor_rejects_malformed_input(args, message):
+    with pytest.raises(ValueError) as info:
+        Quiver(*args)
+    assert str(info.value) == message
+
+
 def test_skew_symmetry_enforced():
     with pytest.raises(ValueError):
         Quiver([1, 2], [[0, 1], [1, 0]])

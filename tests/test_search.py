@@ -1,5 +1,7 @@
 """Bounded reddening search and mutation-class enumeration."""
 
+import itertools
+import json
 import random
 
 import pytest
@@ -15,7 +17,9 @@ from redcycle import (
     search_reddening,
 )
 
-from conftest import random_quiver
+from redcycle.cli import main
+
+from conftest import random_quiver, reference_search_reddening
 
 
 def rank2(a: int) -> Quiver:
@@ -146,6 +150,44 @@ def test_search_matches_brute_force_enumeration():
             )
         }
         assert mine == brute(q, max_len, reduced)
+
+
+def test_search_matches_recursive_reference():
+    # Every flag combination, every length bound up to 6, at the default
+    # guardrail and at one low enough that branches are cut.
+    rng = random.Random(211)
+    flags = ("reduced_only", "green_only", "first_only", "prune_revisited")
+    found = cut = 0
+    for rank in (1, 2, 3, 4):
+        q = random_quiver(rng, min_n=rank, max_n=rank, max_weight=2)
+        for values in itertools.product((False, True), repeat=len(flags)):
+            for max_len in range(7):
+                for limit in ({}, {"weight_limit": 2**6}):
+                    kwargs = dict(zip(flags, values), **limit)
+                    result = search_reddening(q, max_len, **kwargs)
+                    expected = reference_search_reddening(q, max_len, **kwargs)
+                    assert (result.sequences, result.overflow_branches) == expected, (
+                        q, max_len, kwargs)
+                    found += len(result)
+                    cut += result.overflow_branches
+    assert found > 0 and cut > 0
+
+
+def test_deep_search_is_not_bounded_by_recursion(tmp_path, capsys):
+    # One vertex: every odd-length sequence is reddening.  A2: the first
+    # dive repeats vertex 1 to the length bound before it tries vertex 2.
+    point = Quiver.from_arrows([1], [])
+    result = search_reddening(point, 3000)
+    assert len(result) == 1500 and result.complete
+    assert result.sequences[-1][0] == (1,) * 2999
+    a2 = Quiver.from_arrows([1, 2], [(1, 2)])
+    assert len(search_reddening(a2, 3000, first_only=True)) == 1
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"vertices": [1], "arrows": []}))
+    assert main(["reddening-search", "--in", str(path), "--max-len", "3000", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["count"] == 1500
+    assert "Traceback" not in captured.err
 
 
 def test_enumerate_class_a2():
