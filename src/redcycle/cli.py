@@ -2,13 +2,15 @@
 
 Exit codes: 0 on success, 1 when a verification fails (a sequence is not
 reddening, a cycle does not close, a catalog check fails), 2 on malformed
-input.  ``--json`` switches every report to a stable JSON document.
+input, 141 (128 + SIGPIPE) when the reader closes the output pipe early.
+``--json`` switches every report to a stable JSON document.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Sequence
 
@@ -338,7 +340,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``).  Point stdout at devnull so
+        # the flush at exit cannot raise again, and exit as a shell reports
+        # a process killed by SIGPIPE (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (NotReddeningError, NonIdentityPermutationError, CycleConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

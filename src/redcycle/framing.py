@@ -57,12 +57,14 @@ def _extend(q: Quiver, down: bool) -> Quiver:
     if q.is_framed:
         raise AlreadyFramedError("quiver already carries frozen vertices")
     offset = _frozen_offset(max(q.mutable_labels))
-    pairs = [(v, v + offset) for v in q.mutable_labels]
-    arrows = list(q.arrows())
-    for m, f in pairs:
-        arrows.append((f, m, 1) if down else (m, f, 1))
-    vertices = list(q.mutable_labels) + [f for _, f in pairs]
-    return Quiver.from_arrows(vertices, arrows, frozen_pairs=pairs)
+    pairs = tuple((v, v + offset) for v in q.mutable_labels)
+    # Frozen partners sort like their vertices, so in the ascending layout
+    # the frame is a signed identity block beside the mutable rows.
+    e = -1 if down else 1
+    n = q.rank
+    rows = tuple(row + tuple(e * (i == j) for j in range(n)) for i, row in enumerate(q.rows()))
+    rows += tuple(tuple(-e * (i == j) for j in range(n)) + (0,) * n for i in range(n))
+    return Quiver._trusted(q.mutable_labels, pairs, rows)
 
 
 def _color(row: Sequence[int], v: int) -> Color:

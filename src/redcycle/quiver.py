@@ -9,6 +9,17 @@ vertex it was split off from.
 All values are immutable; every operation returns a fresh quiver.  Arrow
 multiplicities are kept exact and checked against the signed 64-bit range,
 since mutation can grow entries exponentially.
+
+Input is validated where it enters the library: ``Quiver(...)``,
+:meth:`Quiver.from_arrows` and the loaders in ``formats`` check labels,
+shape, skew-symmetry, the 64-bit range and the absence of frozen-frozen
+arrows.  Every quiver the library derives from a checked one (mutation,
+restriction, the opposite, relabelings, framings) goes through the private
+trusted constructor, which checks nothing: the invariant is that every
+``Quiver`` value satisfies those checks and stores its rows in the ascending
+layout (mutable labels then frozen labels, each ascending).  The only check
+a derivation cannot skip is the 64-bit range after a mutation, and that
+costs only the entries the mutation grew (:func:`_first_over`).
 """
 
 from __future__ import annotations
@@ -80,6 +91,29 @@ def _mutated_rows(
         for c in frozen:
             row[c] = 0
     return new
+
+
+def _first_over(
+    rows: Sequence[Sequence[int]], rowk: Sequence[int], limit: int
+) -> tuple[int, int] | None:
+    """The first pair ``(i, j)``, ``i < j`` in row-major order, at which
+    ``rows`` (a mutation at k) holds an entry beyond ``limit``, or None.
+
+    ``rowk`` is row k before the mutation.  Mutation at k only negates row
+    and column k, which keeps every |entry|, and writes new magnitudes only
+    in the block in(k) x out(k), read off the signs of ``rowk``.  So when
+    every entry was within ``limit`` before, this block is all there is to
+    check; the frozen-frozen cells in it were cleared to zero.
+    """
+    outs = [j for j, x in enumerate(rowk) if x > 0]
+    bad = []
+    for i, x in enumerate(rowk):
+        if x < 0:
+            row = rows[i]
+            for j in outs:
+                if abs(row[j]) > limit:
+                    bad.append((min(i, j), max(i, j)))
+    return min(bad, default=None)
 
 
 class Quiver:
@@ -155,6 +189,52 @@ class Quiver:
                 if rows[a][b] != 0:
                     raise ValueError("arrows between frozen vertices are not stored")
 
+    @classmethod
+    def _trusted(
+        cls,
+        mutable: tuple[int, ...],
+        frozen_pairs: tuple[tuple[int, int], ...],
+        rows: tuple[tuple[int, ...], ...],
+    ) -> "Quiver":
+        """A quiver from parts derived from checked ones; checks nothing.
+
+        ``mutable`` and ``frozen_pairs`` are sorted, and ``rows`` is a tuple
+        of tuples in the ascending layout that already passes every check of
+        :meth:`_validate`.
+        """
+        q = object.__new__(cls)
+        q._mutable = mutable
+        q._frozen_pairs = frozen_pairs
+        q._labels = mutable + tuple(sorted(f for _, f in frozen_pairs))
+        q._index = {v: i for i, v in enumerate(q._labels)}
+        q._rows = rows
+        return q
+
+    def _with_rows(self, rows: tuple[tuple[int, ...], ...]) -> "Quiver":
+        """This quiver's vertices with the trusted exchange matrix ``rows``."""
+        q = object.__new__(Quiver)
+        q._mutable = self._mutable
+        q._frozen_pairs = self._frozen_pairs
+        q._labels = self._labels
+        q._index = self._index
+        q._rows = rows
+        return q
+
+    def _relaid(
+        self,
+        new_labels: Sequence[int],
+        mutable: Iterable[int],
+        frozen_pairs: Iterable[tuple[int, int]],
+    ) -> "Quiver":
+        """This matrix under ``new_labels`` (one label per current position),
+        laid out anew in ascending order; the caller has checked the labels."""
+        mutable = tuple(sorted(mutable))
+        pairs = tuple(sorted(frozen_pairs))
+        at = {v: i for i, v in enumerate(new_labels)}
+        idx = [at[v] for v in mutable + tuple(sorted(f for _, f in pairs))]
+        rows = tuple(tuple(self._rows[a][b] for b in idx) for a in idx)
+        return Quiver._trusted(mutable, pairs, rows)
+
     # -- construction -------------------------------------------------
 
     @classmethod
@@ -202,7 +282,7 @@ class Quiver:
 
     @property
     def frozen_labels(self) -> tuple[int, ...]:
-        return tuple(sorted(f for _, f in self._frozen_pairs))
+        return self._labels[len(self._mutable):]
 
     @property
     def frozen_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -270,9 +350,14 @@ class Quiver:
         ``b(u, v) * b(v, w)``, then row and column ``v`` change sign.
         """
         k = self._check_mutable(v)
-        frozen = [self._index[f] for _, f in self._frozen_pairs]
-        new = _mutated_rows(self._rows, k, frozen)
-        return Quiver(self._mutable, new, self._labels, self._frozen_pairs)
+        new = _mutated_rows(self._rows, k, range(len(self._mutable), len(self._labels)))
+        bad = _first_over(new, self._rows[k], INT_LIMIT)
+        if bad is not None:
+            i, j = bad
+            raise IntegerOverflowError(
+                f"arrow multiplicity exceeds 64-bit range at ({self._labels[i]}, {self._labels[j]})"
+            )
+        return self._with_rows(tuple(map(tuple, new)))
 
     def mutate_seq(self, seq: Iterable[int]) -> "Quiver":
         """Left-to-right fold of :meth:`mutate`."""
@@ -303,17 +388,18 @@ class Quiver:
         missing = kept - set(self._labels)
         if missing:
             raise UnknownVertexError(f"unknown vertices {sorted(missing)}")
-        mutable = [v for v in self._mutable if v in kept]
-        pairs = [(m, f) for m, f in self._frozen_pairs if m in kept and f in kept]
-        labels = [v for v in self._labels if v in kept]
-        idx = [self._index[v] for v in labels]
-        rows = [[self._rows[a][b] for b in idx] for a in idx]
-        return Quiver(mutable, rows, labels, pairs)
+        for m, f in self._frozen_pairs:
+            if f in kept and m not in kept:
+                raise ValueError(f"frozen vertex {f} kept without its mutable partner {m}")
+        pairs = tuple((m, f) for m, f in self._frozen_pairs if m in kept and f in kept)
+        mutable = tuple(v for v in self._mutable if v in kept)
+        idx = [i for i, v in enumerate(self._labels) if v in kept]
+        rows = tuple(tuple(self._rows[a][b] for b in idx) for a in idx)
+        return Quiver._trusted(mutable, pairs, rows)
 
     def opposite(self) -> "Quiver":
         """The quiver with all arrows reversed."""
-        rows = [[-x for x in row] for row in self._rows]
-        return Quiver(self._mutable, rows, self._labels, self._frozen_pairs)
+        return self._with_rows(tuple(tuple(-x for x in row) for row in self._rows))
 
     def permuted(self, sigma: Permutation) -> "Quiver":
         """Relabel arrows along a permutation of the mutable labels.
@@ -325,16 +411,20 @@ class Quiver:
         """
         if any(v not in self._index or v not in self._mutable for v in sigma.support):
             raise UnknownVertexError("permutation moves labels outside the mutable vertices")
-        return Quiver(self._mutable, self._rows, [sigma(v) for v in self._labels], self._frozen_pairs)
+        return self._relaid([sigma(v) for v in self._labels], self._mutable, self._frozen_pairs)
 
     def relabeled(self, mapping: Mapping[int, int]) -> "Quiver":
         """Rename vertices along an injective mapping (identity where omitted)."""
         full = {v: mapping.get(v, v) for v in self._labels}
         if len(set(full.values())) != len(full):
             raise ValueError("relabeling is not injective")
-        new_mutable = [full[v] for v in self._mutable]
-        new_pairs = [(full[m], full[f]) for m, f in self._frozen_pairs]
-        return Quiver(new_mutable, self._rows, [full[v] for v in self._labels], new_pairs)
+        if any(not isinstance(v, int) or v < 1 for v in full.values()):
+            raise ValueError("labels must be positive integers")
+        return self._relaid(
+            [full[v] for v in self._labels],
+            [full[v] for v in self._mutable],
+            [(full[m], full[f]) for m, f in self._frozen_pairs],
+        )
 
     # -- degree helpers -------------------------------------------------
 

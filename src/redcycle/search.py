@@ -15,7 +15,7 @@ from .classify import explore
 from .errors import OutOfRangeError
 from .framing import Color, _color, _positions, _read, framed
 from .permutation import Permutation
-from .quiver import MutationSequence, Quiver, _mutated_rows
+from .quiver import MutationSequence, Quiver, _first_over, _mutated_rows
 
 #: Abort a search branch once any arrow multiplicity passes this bound.
 WEIGHT_GUARDRAIL = 2**40
@@ -72,6 +72,10 @@ def search_reddening(
     start = framed(q)
     mutable, at, cols = pos = _positions(start)
     rows0 = [list(row) for row in start.rows()]
+    # A child passes the guardrail when the entries its mutation grew do
+    # (every other |entry| is its parent's), unless the start state itself
+    # is over the limit: then no child can pass.
+    start_over = any(abs(x) > weight_limit for row in rows0 for x in row)
     found: list[tuple[MutationSequence, Permutation]] = []
     overflow = 0
     # One frame per state on the current path: its rows, its sequence, its
@@ -89,7 +93,7 @@ def search_reddening(
             if green_only and _color([rows[i][c] for c in cols], v) is not Color.GREEN:
                 continue
             child = _mutated_rows(rows, i, cols)
-            if any(abs(x) > weight_limit for row in child for x in row):
+            if start_over or _first_over(child, rows[i], weight_limit) is not None:
                 overflow += 1
                 continue
             child_key = tuple(map(tuple, child)) if prune_revisited else None

@@ -2,7 +2,10 @@
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -173,6 +176,18 @@ def test_search_matches_recursive_reference():
     assert found > 0 and cut > 0
 
 
+def test_guardrail_cuts_every_child_of_a_start_state_over_the_limit():
+    # Mutation never shrinks the triple arrow, so every child of the start
+    # state is over the limit, though no child grows an entry past it.
+    q = Quiver.from_arrows([1, 2, 3], [(1, 2, 3), (2, 3)])
+    for reduced in (False, True):
+        for green in (False, True):
+            kwargs = dict(reduced_only=reduced, green_only=green, weight_limit=2)
+            result = search_reddening(q, 4, **kwargs)
+            assert (result.sequences, result.overflow_branches) == reference_search_reddening(q, 4, **kwargs)
+            assert result.sequences == () and result.overflow_branches == 3
+
+
 def test_deep_search_is_not_bounded_by_recursion(tmp_path, capsys):
     # One vertex: every odd-length sequence is reddening.  A2: the first
     # dive repeats vertex 1 to the length bound before it tries vertex 2.
@@ -188,6 +203,29 @@ def test_deep_search_is_not_bounded_by_recursion(tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["count"] == 1500
     assert "Traceback" not in captured.err
+
+
+def test_cli_exits_141_without_traceback_when_the_pipe_closes(tmp_path):
+    # The reader takes 100 bytes of a megabytes-long report and closes the
+    # pipe, as ``| head -c 100`` does.
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"vertices": [1], "arrows": []}))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "redcycle", "reddening-search", "--in", str(path), "--max-len", "3000", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_enumerate_class_a2():
