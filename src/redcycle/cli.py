@@ -318,7 +318,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("forkless", _cmd_forkless, quiver_in, "explore the forkless part")
     p.add_argument("--budget", type=int)
 
-    p = add("enumerate", _cmd_enumerate, quiver_in, "enumerate the mutation class up to isomorphism")
+    p = add(
+        "enumerate", _cmd_enumerate, quiver_in, "enumerate the mutation class up to isomorphism"
+    )
     p.add_argument("--budget", type=int)
 
     p = add("distinguishing", _cmd_distinguishing, sequence_in, "test a distinguishing matrix")

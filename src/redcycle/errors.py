@@ -28,7 +28,13 @@ class NotFramedError(RedcycleError):
 
 
 class IntegerOverflowError(RedcycleError):
-    """An arrow multiplicity left the signed 64-bit range."""
+    """An arrow multiplicity left the signed 64-bit range.
+
+    ``step`` is the index, in the mutation sequence being walked, of the step
+    that left it; ``None`` when the error does not come from such a walk.
+    """
+
+    step: int | None = None
 
 
 class SignCoherenceError(RedcycleError):

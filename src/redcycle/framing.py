@@ -195,12 +195,17 @@ def c_matrix(q: Quiver, seq: Iterable[int]) -> CMatrix:
     """Frame ``q``, mutate along ``seq``, and return the resulting C-matrix.
 
     Sign-coherence and the no-zero-row property are asserted at every
-    intermediate step, not just at the end.
+    intermediate step, not just at the end.  An entry of ``seq`` that is not
+    a mutable label of ``q`` raises ``UnknownVertexError``, the labels of the
+    frame included: they are internal to the walk.
     """
     state = framed(q)
     pos = _positions(state)
+    mutable = frozenset(pos[0])
     c = _coherent(_read(state.rows(), pos))
     for v in seq:
+        if v not in mutable:
+            raise UnknownVertexError(f"unknown vertex {v}")
         state = state.mutate(v)
         c = _coherent(_read(state.rows(), pos))
     return c

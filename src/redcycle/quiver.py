@@ -262,7 +262,8 @@ class Quiver:
             else:
                 src, dst, mult = arrow  # type: ignore[misc]
             if src not in index or dst not in index:
-                raise UnknownVertexError(f"arrow endpoint {src if src not in index else dst} is not a vertex")
+                bad = src if src not in index else dst
+                raise UnknownVertexError(f"arrow endpoint {bad} is not a vertex")
             if src == dst:
                 raise ValueError(f"loop at vertex {src}: quivers have no loops")
             if mult < 1:
@@ -370,14 +371,16 @@ class Quiver:
         """All intermediate quivers along ``seq``; has ``len(seq) + 1`` entries.
 
         A step that leaves the 64-bit range raises ``IntegerOverflowError``
-        naming its index in ``seq``.
+        naming its index in ``seq``, in the message and as ``step``.
         """
         out = [self]
         for step, v in enumerate(seq):
             try:
                 out.append(out[-1].mutate(v))
             except IntegerOverflowError as exc:
-                raise IntegerOverflowError(f"{exc}, at sequence index {step}") from None
+                err = IntegerOverflowError(f"{exc}, at sequence index {step}")
+                err.step = step
+                raise err from None
         return tuple(out)
 
     # -- structural operations ----------------------------------------

@@ -377,3 +377,4 @@ def test_verify_cycle_names_the_overflow_step():
         with pytest.raises(IntegerOverflowError) as info:
             verify_cycle(q, walk)
         assert str(info.value).endswith(f", at sequence index {step}")
+        assert info.value.step == step

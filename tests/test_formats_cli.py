@@ -100,6 +100,16 @@ def test_cli_cycle_verify_names_the_overflow_step(tmp_path, capsys):
     assert captured.err.endswith(", at sequence index 49\n")
 
 
+@pytest.mark.parametrize("command", ["cmatrix", "reddening-verify"])
+def test_cli_frame_label_is_an_unknown_vertex(tmp_path, capsys, command):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"vertices": [1, 2], "arrows": [[1, 2]]}))
+    assert main([command, "--in", str(path), "--seq", "1,101"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown vertex 101\n"
+
+
 def test_parse_sequence():
     assert parse_sequence("2,3") == (2, 3)
     assert parse_sequence("") == ()

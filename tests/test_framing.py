@@ -12,9 +12,16 @@ from redcycle import (
     c_matrix,
     coframed,
     framed,
+    is_maximal_green,
+    is_reddening,
     vertex_color,
 )
-from redcycle.errors import AlreadyFramedError, InternalContradictionError, NotFramedError
+from redcycle.errors import (
+    AlreadyFramedError,
+    InternalContradictionError,
+    NotFramedError,
+    UnknownVertexError,
+)
 from redcycle.framing import read_c_matrix
 
 from conftest import random_quiver, random_sequence
@@ -227,3 +234,12 @@ def test_reddening_permutation_is_the_one_verdict():
     assert CMatrix((1, 2), ((0, -1), (-1, 0))).reddening_permutation() == Permutation.from_cycles((1, 2))
     with pytest.raises(InternalContradictionError):
         CMatrix((1, 2), ((-1, 0), (-1, -1))).reddening_permutation()
+
+
+def test_frame_labels_are_unknown_vertices_of_the_walk():
+    # 101 is the frozen partner of vertex 1 inside the framed walk, not a
+    # vertex of the caller's quiver.
+    q = Quiver.from_arrows([1, 2], [(1, 2)])
+    for verdict in (c_matrix, is_reddening, is_maximal_green):
+        with pytest.raises(UnknownVertexError, match="^unknown vertex 101$"):
+            verdict(q, (1, 101))
