@@ -770,7 +770,3 @@ def _evaluate(item: CatalogItem) -> Iterator[Check]:
 def verify_item(name: str) -> list[Check]:
     """Recompute every expectation shipped with a registry item."""
     return list(_evaluate(catalog_item(name)))
-
-
-# Tests check a modified three-torus item through this name.
-_verify_three_torus = _evaluate

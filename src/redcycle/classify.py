@@ -13,9 +13,10 @@ arrows of unequal weight, so requiring equal multiplicities would reject it.
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import AlreadyFramedError, ForkStartError, FormatError, OutOfRangeError
 from .quiver import Quiver
@@ -62,55 +63,55 @@ class ClassificationReport:
         return bool(self.prefork_pairs)
 
 
+def _source_order(q: Quiver, vs: Sequence[int]) -> list[int] | None:
+    """The vertices ``vs`` in a topological order of the subquiver they span,
+    the smallest current source first (Kahn's algorithm on a min-heap);
+    None when that subquiver has an oriented cycle."""
+    indegree = {v: sum(q.b(u, v) > 0 for u in vs) for v in vs}
+    heap = sorted(v for v in vs if not indegree[v])
+    order = []
+    while heap:
+        u = heapq.heappop(heap)
+        order.append(u)
+        for v in vs:
+            if q.b(u, v) > 0:
+                indegree[v] -= 1
+                if not indegree[v]:
+                    heapq.heappush(heap, v)
+    return order if len(order) == len(vs) else None
+
+
+def _abundant(q: Quiver, vs: Sequence[int]) -> bool:
+    """True when every pair of the vertices ``vs`` is joined by >= 2 arrows."""
+    return all(abs(q.b(u, v)) >= 2 for i, u in enumerate(vs) for v in vs[i + 1 :])
+
+
 def is_acyclic(q: Quiver) -> bool:
     """True when the mutable part has no oriented cycle."""
-    remaining = set(q.mutable_labels)
-    while remaining:
-        sources = [v for v in remaining if all(q.b(u, v) <= 0 for u in remaining)]
-        if not sources:
-            return False
-        remaining.difference_update(sources)
-    return True
+    return _source_order(q, q.mutable_labels) is not None
 
 
 def is_abundant(q: Quiver) -> bool:
     """True when every pair of mutable vertices is joined by >= 2 arrows."""
-    mut = q.mutable_labels
-    return all(
-        abs(q.b(u, v)) >= 2 for i, u in enumerate(mut) for v in mut[i + 1 :]
-    )
+    return _abundant(q, q.mutable_labels)
 
 
-def _fork_returns(q: Quiver) -> frozenset[int]:
-    """Points of return, empty unless the quiver is a fork.
+def _fork_returns(q: Quiver, vs: Sequence[int]) -> frozenset[int]:
+    """Points of return of the subquiver on ``vs``, which the caller found
+    abundant and not acyclic; empty unless that subquiver is a fork.
 
     Acyclic quivers are never forks: a source would satisfy the path
     condition vacuously, and abundant acyclic quivers must stay on the
     forkless side for the closure properties to hold.
     """
-    if not is_abundant(q) or is_acyclic(q) or q.rank < 3:
-        return frozenset()
-    mut = q.mutable_labels
     returns = []
-    for r in mut:
-        rest = [v for v in mut if v != r]
-        if not is_acyclic(q.restrict(rest)):
-            continue
-        ok = True
-        for i in rest:
-            bir = q.b(i, r)
-            if bir <= 0:
-                continue
-            for j in rest:
-                brj = q.b(r, j)
-                if brj <= 0:
-                    continue
-                if q.b(j, i) <= max(bir, brj):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    for r in vs:
+        rest = [v for v in vs if v != r]
+        ins = [i for i in rest if q.b(i, r) > 0]
+        outs = [j for j in rest if q.b(r, j) > 0]
+        if _source_order(q, rest) is not None and all(
+            q.b(j, i) > max(q.b(i, r), q.b(r, j)) for i in ins for j in outs
+        ):
             returns.append(r)
     return frozenset(returns)
 
@@ -135,30 +136,31 @@ def classify(q: Quiver) -> ClassificationReport:
     """Evaluate acyclicity, abundance, fork/key/pre-fork structure.
 
     All candidate return points and vertex pairs are tried exhaustively;
-    target sizes (n <= 16) keep this immediate.
+    target sizes (n <= 16) keep this immediate.  A vertex deletion is the
+    list of the other vertices, read off ``q``'s own matrix; it is acyclic
+    when ``q`` is, so it can be a fork only when ``q`` is not.
     """
     if q.is_framed:
         raise AlreadyFramedError("classify expects an unframed quiver")
-    acyclic = is_acyclic(q)
-    abundant = is_abundant(q)
-    fork_returns = _fork_returns(q)
+    mut = q.mutable_labels
+    acyclic = _source_order(q, mut) is not None
+    abundant = _abundant(q, mut)
+    fork_returns = _fork_returns(q, mut) if abundant and not acyclic else frozenset()
 
     key_pairs = []
     prefork_pairs = []
     # Below rank 3 the twin conditions hold vacuously (single-vertex
     # deletions are trivially abundant acyclic), which would make every
     # 2-vertex quiver a key; the key/pre-fork notions start at rank 3.
-    pairs = _twin_pairs(q) if q.rank >= 3 else []
-    for k, kp in pairs:
-        rest_k = [v for v in q.mutable_labels if v != k]
-        rest_kp = [v for v in q.mutable_labels if v != kp]
-        del_k = q.restrict(rest_k)
-        del_kp = q.restrict(rest_kp)
-        if acyclic and is_abundant(del_k) and is_abundant(del_kp):
-            key_pairs.append(((k, kp), q.b(k, kp)))
-        common = _fork_returns(del_k) & _fork_returns(del_kp)
-        for r in sorted(common):
-            prefork_pairs.append(((k, kp), r))
+    for k, kp in _twin_pairs(q) if q.rank >= 3 else []:
+        del_k = [v for v in mut if v != k]
+        del_kp = [v for v in mut if v != kp]
+        if acyclic:
+            if _abundant(q, del_k) and _abundant(q, del_kp):
+                key_pairs.append(((k, kp), q.b(k, kp)))
+        elif all(_abundant(q, d) and _source_order(q, d) is None for d in (del_k, del_kp)):
+            common = _fork_returns(q, del_k) & _fork_returns(q, del_kp)
+            prefork_pairs.extend(((k, kp), r) for r in sorted(common))
 
     report = ClassificationReport(
         acyclic=acyclic,

@@ -19,6 +19,7 @@ from .classify import classify, forkless_explore
 from .errors import (
     CycleConstructionError,
     FormatError,
+    IntegerOverflowError,
     NonIdentityPermutationError,
     NotReddeningError,
     RedcycleError,
@@ -163,17 +164,25 @@ def _cmd_cycle_build(args) -> int:
 
 def _cmd_cycle_verify(args) -> int:
     q = load_quiver(args.infile)
-    report = verify_cycle(q, _read_sequence(args))
-    doc = {
-        "length": report.length,
-        "is_reduced": report.is_reduced,
-        "closes_equal": report.closes_equal,
-        "closes_iso": _fmt_perm(report.closes_iso),
-        "simple": report.simple,
-        "all_abundant": report.all_abundant,
-    }
+    seq = _read_sequence(args)
+    try:
+        report = verify_cycle(q, seq)
+    except IntegerOverflowError as exc:
+        # Every overflow in the walk names its step (an input quiver out of
+        # range fails in load_quiver): a verdict, not malformed input.
+        doc = {"length": len(seq), "closes_equal": False, "overflow_step": exc.step,
+               "overflow": str(exc)}
+    else:
+        doc = {
+            "length": report.length,
+            "is_reduced": report.is_reduced,
+            "closes_equal": report.closes_equal,
+            "closes_iso": _fmt_perm(report.closes_iso),
+            "simple": report.simple,
+            "all_abundant": report.all_abundant,
+        }
     _emit(args, doc, [f"{k}: {v}" for k, v in doc.items()])
-    return 0 if report.closes_equal else 1
+    return 0 if doc["closes_equal"] else 1
 
 
 def _cmd_classify(args) -> int:

@@ -159,25 +159,25 @@ class CMatrix:
         return sign * m[n - 1][n - 1] if n else 1
 
 
-_Positions = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+_Positions = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _positions(framed_state: Quiver) -> _Positions:
-    """The mutable labels in ascending order, the row of each and the column
-    of its frozen partner.  Mutation never moves a label, so the positions
-    read off a walk's first state serve every state of the walk."""
+    """The mutable labels in ascending order (the i-th one's row is row i)
+    and the column of each one's frozen partner.  Mutation never moves a
+    label, so the positions read off a walk's first state serve all of it."""
     partner = dict(framed_state.frozen_pairs)
     mutable = framed_state.mutable_labels
     if any(v not in partner for v in mutable):
         raise NotFramedError("some mutable vertex has no frozen partner")
     index = {v: i for i, v in enumerate(framed_state.labels)}
-    return mutable, tuple(index[v] for v in mutable), tuple(index[partner[v]] for v in mutable)
+    return mutable, tuple(index[partner[v]] for v in mutable)
 
 
 def _read(rows: Sequence[Sequence[int]], pos: _Positions) -> CMatrix:
     """The C-matrix of exchange-matrix ``rows`` at the positions ``pos``."""
-    labels, at, cols = pos
-    return CMatrix(labels, tuple(tuple(rows[i][c] for c in cols) for i in at))
+    labels, cols = pos
+    return CMatrix(labels, tuple(tuple(row[c] for c in cols) for row in rows[: len(labels)]))
 
 
 def read_c_matrix(framed_state: Quiver) -> CMatrix:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .classify import _source_order
 from .errors import CyclicQuiverError
 from .framing import Color, _positions, _read, c_matrix, framed
 from .permutation import Permutation
@@ -61,16 +62,7 @@ def source_sequence(q: Quiver) -> MutationSequence:
     among the current sources.  Mutating along it fixes the quiver and is a
     reddening sequence with identity permutation.
     """
-    remaining = set(q.mutable_labels)
-    order: list[int] = []
-    while remaining:
-        sources = [
-            v for v in sorted(remaining)
-            if all(q.b(u, v) <= 0 for u in remaining if u != v)
-        ]
-        if not sources:
-            raise CyclicQuiverError("quiver has an oriented cycle")
-        v = sources[0]
-        order.append(v)
-        remaining.remove(v)
+    order = _source_order(q, q.mutable_labels)
+    if order is None:
+        raise CyclicQuiverError("quiver has an oriented cycle")
     return tuple(order)

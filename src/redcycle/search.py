@@ -70,7 +70,7 @@ def search_reddening(
     if max_len < 0:
         raise OutOfRangeError(f"max_len must be >= 0, got {max_len}")
     start = framed(q)
-    mutable, at, cols = pos = _positions(start)
+    mutable, cols = pos = _positions(start)
     rows0 = [list(row) for row in start.rows()]
     # A child passes the guardrail when the entries its mutation grew do
     # (every other |entry| is its parent's), unless the start state itself
@@ -83,7 +83,7 @@ def search_reddening(
     # vertices not yet tried from it.  Trying vertices in ascending order
     # makes this a preorder walk, which emits sequences in lexicographic order.
     key0 = tuple(map(tuple, rows0)) if prune_revisited else None
-    stack = [(rows0, (), key0, iter(zip(at, mutable)))] if max_len else []
+    stack = [(rows0, (), key0, enumerate(mutable))] if max_len else []
     path = {key0}
     while stack:
         rows, seq, key, untried = stack[-1]
@@ -100,13 +100,13 @@ def search_reddening(
             if prune_revisited and child_key in path:
                 continue
             child_seq = seq + (v,)
-            if all(child[r][c] <= 0 for r in at for c in cols):
+            if all(row[c] <= 0 for row in child[: len(mutable)] for c in cols):
                 found.append((child_seq, _read(child, pos).reddening_permutation()))
                 if first_only:
                     return SearchResult(sequences=tuple(found), overflow_branches=overflow)
             if len(child_seq) < max_len:
                 path.add(child_key)
-                stack.append((child, child_seq, child_key, iter(zip(at, mutable))))
+                stack.append((child, child_seq, child_key, enumerate(mutable)))
                 break
         else:
             stack.pop()

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import random
 
-from redcycle import Quiver, classify
-from redcycle.framing import Color, _color, _positions, _read, framed
-from redcycle.quiver import _mutated_rows
+from redcycle import Permutation, Quiver, classify
 from redcycle.search import WEIGHT_GUARDRAIL
 
 
@@ -95,32 +93,53 @@ def reference_search_reddening(
     prune_revisited: bool = False,
     weight_limit: int = WEIGHT_GUARDRAIL,
 ) -> tuple[tuple, int]:
-    """Reference reddening search: the recursive depth-first walk that
-    ``search_reddening`` replaced, unchanged apart from its annotations and
-    its return value ``(sequences, overflow_branches)``.  Python's recursion
-    limit bounds ``max_len`` here to somewhat under 1,000."""
-    start = framed(q)
-    mutable, at, cols = pos = _positions(start)
-    rows0 = [list(row) for row in start.rows()]
+    """Reference reddening search: a recursive depth-first walk on plain
+    lists, returning ``(sequences, overflow_branches)``.
+
+    It shares no code with the library's walk.  The framed state is the
+    matrix ``[[B, I], [-I, 0]]``, stepped with :func:`mutate_matrix`, after
+    which the frozen-frozen block is cleared as the library does.  Colours
+    and the permutation are read straight off the C block, the top-right
+    ``n x n`` block.  Python's recursion limit bounds ``max_len`` here to
+    somewhat under 1,000.
+    """
+    mutable = q.mutable_labels
+    n = len(mutable)
+    b = q.rows()
+    rows0 = [list(b[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    rows0 += [[-int(i == j) for j in range(n)] + [0] * n for i in range(n)]
+
+    def step(rows, k):
+        child = mutate_matrix(rows, k)
+        for row in child[n:]:
+            row[n:] = [0] * n
+        return child
+
+    def green(rows, i):
+        return all(x >= 0 for x in rows[i][n:])
+
+    def permutation(rows):
+        # Column j of C = -P_sigma holds its -1 in row sigma(j).
+        return Permutation({
+            mutable[j]: mutable[next(i for i in range(n) if rows[i][n + j])]
+            for j in range(n)
+        })
 
     found = []
     overflow = 0
     stop = False
-
-    def all_red(rows):
-        return all(rows[i][c] <= 0 for i in at for c in cols)
 
     def dfs(rows, seq, path, depth):
         nonlocal overflow, stop
         if stop or depth == max_len:
             return
         last = seq[-1] if seq else None
-        for i, v in zip(at, mutable):
+        for i, v in enumerate(mutable):
             if reduced_only and v == last:
                 continue
-            if green_only and _color([rows[i][c] for c in cols], v) is not Color.GREEN:
+            if green_only and not green(rows, i):
                 continue
-            child = _mutated_rows(rows, i, cols)
+            child = step(rows, i)
             if any(abs(x) > weight_limit for row in child for x in row):
                 overflow += 1
                 continue
@@ -130,8 +149,8 @@ def reference_search_reddening(
                 if key in path:
                     continue
             child_seq = seq + (v,)
-            if all_red(child):
-                found.append((child_seq, _read(child, pos).reddening_permutation()))
+            if all(x <= 0 for row in child[:n] for x in row[n:]):
+                found.append((child_seq, permutation(child)))
                 if first_only:
                     stop = True
                     return

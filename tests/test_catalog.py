@@ -22,7 +22,7 @@ from redcycle import (
     punctured_sphere_names,
     verify_cycle,
 )
-from redcycle.catalog import _verify_three_torus, verify_item
+from redcycle.catalog import _evaluate, verify_item
 from redcycle.errors import IntegerOverflowError, UnknownNameError
 
 
@@ -228,11 +228,11 @@ def test_three_torus_check_pins_the_overflow_step():
     # another step is a different walk and fails the check.
     name = "recorded 60-term splice diverges (known discrepancy)"
     item = catalog_item("three_torus_extension")
-    assert dict((c, ok) for c, ok, _ in _verify_three_torus(item))[name]
+    assert dict((c, ok) for c, ok, _ in _evaluate(item))[name]
     shifted = (1, 1) + item.sequences["stated_cycle"]
     q = item.quivers["Q"]
     verify_cycle(q, shifted[:51])
     with pytest.raises(IntegerOverflowError):
         verify_cycle(q, shifted[:52])
     moved = replace(item, sequences={**item.sequences, "stated_cycle": shifted})
-    assert not dict((c, ok) for c, ok, _ in _verify_three_torus(moved))[name]
+    assert not dict((c, ok) for c, ok, _ in _evaluate(moved))[name]

@@ -18,8 +18,9 @@ from redcycle import (
     is_acyclic,
     catalog_item,
 )
-from redcycle.classify import DEFAULT_BUDGET, default_budget
-from redcycle.errors import AlreadyFramedError, ForkStartError, FormatError
+from redcycle.classify import DEFAULT_BUDGET, ClassificationReport, default_budget
+from redcycle.errors import AlreadyFramedError, CyclicQuiverError, ForkStartError, FormatError
+from redcycle.reddening import source_sequence
 
 from conftest import random_abundant_acyclic, random_fork, random_quiver
 
@@ -72,6 +73,110 @@ def test_abundant_acyclic_mutations_stay_fork_or_abundant_acyclic():
         for v in q.mutable_labels:
             report = classify(q.mutate(v))
             assert report.is_fork or (report.abundant and report.acyclic)
+
+
+# Definition-level oracle: every predicate on a subset is asked of the
+# restricted quiver, acyclicity peels whole layers of sources, and the
+# source sequence rescans the remaining vertices at every step.
+
+def _oracle_is_acyclic(q):
+    remaining = set(q.mutable_labels)
+    while remaining:
+        sources = [v for v in remaining if all(q.b(u, v) <= 0 for u in remaining)]
+        if not sources:
+            return False
+        remaining.difference_update(sources)
+    return True
+
+
+def _oracle_is_abundant(q):
+    mut = q.mutable_labels
+    return all(abs(q.b(u, v)) >= 2 for i, u in enumerate(mut) for v in mut[i + 1 :])
+
+
+def _oracle_fork_returns(q):
+    if not _oracle_is_abundant(q) or _oracle_is_acyclic(q) or q.rank < 3:
+        return frozenset()
+    mut = q.mutable_labels
+    returns = []
+    for r in mut:
+        rest = [v for v in mut if v != r]
+        if not _oracle_is_acyclic(q.restrict(rest)):
+            continue
+        if all(
+            q.b(j, i) > max(q.b(i, r), q.b(r, j))
+            for i in rest if q.b(i, r) > 0
+            for j in rest if q.b(r, j) > 0
+        ):
+            returns.append(r)
+    return frozenset(returns)
+
+
+def _oracle_classify(q):
+    mut = q.mutable_labels
+    acyclic = _oracle_is_acyclic(q)
+    key_pairs, prefork_pairs = [], []
+    for i, k in enumerate(mut if q.rank >= 3 else ()):
+        for kp in mut[i + 1 :]:
+            if any((q.b(j, k) > 0) != (q.b(j, kp) > 0) or (q.b(j, k) < 0) != (q.b(j, kp) < 0)
+                   for j in mut if j not in (k, kp)):
+                continue
+            del_k = q.restrict([v for v in mut if v != k])
+            del_kp = q.restrict([v for v in mut if v != kp])
+            if acyclic and _oracle_is_abundant(del_k) and _oracle_is_abundant(del_kp):
+                key_pairs.append(((k, kp), q.b(k, kp)))
+            common = _oracle_fork_returns(del_k) & _oracle_fork_returns(del_kp)
+            prefork_pairs.extend(((k, kp), r) for r in sorted(common))
+    return ClassificationReport(
+        acyclic=acyclic,
+        abundant=_oracle_is_abundant(q),
+        fork_returns=_oracle_fork_returns(q),
+        key_pairs=tuple(key_pairs),
+        prefork_pairs=tuple(prefork_pairs),
+    )
+
+
+def _oracle_source_sequence(q):
+    remaining = set(q.mutable_labels)
+    order = []
+    while remaining:
+        sources = [v for v in sorted(remaining)
+                   if all(q.b(u, v) <= 0 for u in remaining if u != v)]
+        if not sources:
+            return None
+        order.append(sources[0])
+        remaining.remove(sources[0])
+    return tuple(order)
+
+
+def test_classify_and_source_sequence_match_the_restricting_oracle():
+    rng = random.Random(131)
+    mix = []
+    for _ in range(60):
+        mix.append(random_quiver(rng, max_n=7, max_weight=4))
+        mix.append(random_abundant_acyclic(rng, max_n=7))
+        mix.append(random_fork(rng, max_n=6))
+    mix += [q.mutate(v) for q in mix[:90] for v in q.mutable_labels]
+    # Relabel to non-contiguous labels in a random order, so that "smallest
+    # label first" and the stored row order disagree.
+    mix += [
+        q.relabeled(dict(zip(q.mutable_labels, rng.sample(range(1, 60), q.rank))))
+        for q in mix[::3]
+    ]
+    hits = {"fork_returns": 0, "key_pairs": 0, "prefork_pairs": 0}
+    for q in mix:
+        report, expected = classify(q), _oracle_classify(q)
+        for field in ("acyclic", "abundant", *hits):
+            assert getattr(report, field) == getattr(expected, field), (q, field)
+        for field in hits:
+            hits[field] += bool(getattr(report, field))
+        order = _oracle_source_sequence(q)
+        if order is None:
+            with pytest.raises(CyclicQuiverError):
+                source_sequence(q)
+        else:
+            assert source_sequence(q) == order, q
+    assert all(hits.values()), hits
 
 
 def test_predicates_small_cases():

@@ -89,15 +89,34 @@ def test_loops_rejected_on_load(tmp_path, capsys):
 
 
 def test_cli_cycle_verify_names_the_overflow_step(tmp_path, capsys):
+    # A walk that leaves the 64-bit range gets a non-closing verdict (exit 1)
+    # that names the step, not a malformed-input error.
     item = catalog_item("three_torus_extension")
     path = tmp_path / "q.json"
     path.write_text(dump_quiver(item.quivers["Q"]))
     seq = ",".join(map(str, item.sequences["stated_cycle"]))
-    assert main(["cycle-verify", "--in", str(path), "--seq", seq]) == 2
+    assert main(["cycle-verify", "--in", str(path), "--seq", seq, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["closes_equal"] is False and doc["length"] == 60
+    assert doc["overflow_step"] == 49
+    assert doc["overflow"].startswith("arrow multiplicity exceeds 64-bit range")
+    assert doc["overflow"].endswith(", at sequence index 49")
+    assert main(["cycle-verify", "--in", str(path), "--seq", seq]) == 1
+    captured = capsys.readouterr()
+    assert "overflow_step: 49\n" in captured.out
+    assert captured.err == ""
+
+
+def test_cli_cycle_verify_overflowing_input_is_malformed(tmp_path, capsys):
+    # An overflow that is not a step of the walk is bad input: exit 2.
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"vertices": [1, 2], "arrows": [[1, 2, 2**63]]}))
+    assert main(["cycle-verify", "--in", str(path), "--seq", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: arrow multiplicity exceeds 64-bit range")
-    assert captured.err.endswith(", at sequence index 49\n")
 
 
 @pytest.mark.parametrize("command", ["cmatrix", "reddening-verify"])
