@@ -179,44 +179,78 @@ def canonical_form(q: Quiver) -> bytes:
     over all vertex relabelings.
 
     Equal canonical forms exactly characterize isomorphic quivers.  The
-    search is a branch-and-bound over orderings: candidates at each depth
-    are sorted by their row-0 entry, and a branch is cut as soon as its
-    row-0 prefix exceeds the best encoding found so far.
+    search places vertices one row at a time and keeps the unplaced ones in
+    ordered cells: members of a cell agree on their arrows to every placed
+    vertex, so the next row's entries on placed columns are fixed, the next
+    vertex comes from the first cell, and its row's remaining entries are
+    least when each cell is read in ascending order of its arrows.  Only
+    candidates whose tail (the cells' values, each cell sorted) is least go
+    on; each cell is then split by the chosen vertex's row, ascending.  A
+    branch is cut at the first row that exceeds the least rows found so
+    far.  Of twins, vertices with equal rows (so no arrow between them),
+    one candidate stands for all: swapping them is an automorphism.
     """
     if q.is_framed:
         raise AlreadyFramedError("canonical_form expects an unframed quiver")
-    mut = q.mutable_labels
-    n = len(mut)
+    n = q.rank
     if n == 0:
         return b"0|"
     rows = q.rows()
-    best: list[int] | None = None
+    best: list[list[int]] = []  # per row, the least tail (entries right of the diagonal)
+    order: list[int] = []  # an ordering whose rows have the tails ``best``
+    placed: list[int] = []
 
-    def dfs(perm: list[int], used: set[int], tied: bool) -> None:
-        nonlocal best
-        d = len(perm)
-        if d == n:
-            flat = [rows[i][j] for i in perm for j in perm]
-            if best is None or flat < best:
-                best = flat
-            return
-        p0 = perm[0]
-        for key, w in sorted((rows[p0][w], w) for w in range(n) if w not in used):
-            child_tied = tied
-            if tied and best is not None:
-                if key > best[d]:
-                    break
-                child_tied = key == best[d]
-            used.add(w)
-            perm.append(w)
-            dfs(perm, used, child_tied)
-            perm.pop()
-            used.remove(w)
+    def place(d: int, cells: list[list[int]]) -> None:
+        nonlocal order
+        first, rest = cells[0], cells[1:]
+        least: list[int] | None = None
+        chosen: list[int] = []
+        twins: set[tuple[int, ...]] = set()
+        for v in first:
+            row = rows[v]
+            if row in twins:
+                continue
+            twins.add(row)
+            tail = sorted([row[w] for w in first if w != v])
+            for cell in rest:
+                tail += sorted(map(row.__getitem__, cell))
+            if least is None or tail < least:
+                least, chosen = tail, [v]
+            elif tail == least:
+                chosen.append(v)
+        assert least is not None
+        if d < len(best):
+            if least > best[d]:
+                return
+            if least < best[d]:
+                del best[d:]
+        if d == len(best):
+            best.append(least)
+        for v in chosen:
+            row = rows[v]
+            split = []
+            for cell in ([w for w in first if w != v], *rest):
+                if len(cell) == 1:
+                    split.append(cell)
+                    continue
+                by_value: dict[int, list[int]] = {}
+                for w in cell:
+                    by_value.setdefault(row[w], []).append(w)
+                split.extend(by_value[x] for x in sorted(by_value))
+            placed.append(v)
+            if len(split) < n - d - 1:
+                place(d + 1, split)
+            else:  # every cell a single vertex: the rest of the order is forced
+                forced = placed + [w for w, in split]
+                tails = [[rows[forced[i]][w] for w in forced[i + 1 :]] for i in range(d + 1, n)]
+                if len(best) == d + 1 or tails < best[d + 1 :]:
+                    best[d + 1 :] = tails
+                    order = forced
+            placed.pop()
 
-    for v0 in range(n):
-        dfs([v0], {v0}, best is not None)
-    assert best is not None
-    return f"{n}|".encode("ascii") + ",".join(map(str, best)).encode("ascii")
+    place(0, [list(range(n))])
+    flat = ",".join([str(rows[i][j]) for i in order for j in order])
+    return f"{n}|{flat}".encode("ascii")
 
 
 def explore(
@@ -243,11 +277,15 @@ def explore(
     start = canonical_form(q)
     forms: dict[bytes, Quiver] = {start: q}
     rejected: set[bytes] = set()
-    level = {start: q}
+    # Each entry carries the vertex it was reached by: mutating there again
+    # gives back the parent, whose form is already known.
+    level: dict[bytes, tuple[Quiver, int | None]] = {start: (q, None)}
     while level and len(forms) < budget:
-        next_level: dict[bytes, Quiver] = {}
-        for _, rep in sorted(level.items()):
+        next_level: dict[bytes, tuple[Quiver, int | None]] = {}
+        for _, (rep, via) in sorted(level.items()):
             for v in rep.mutable_labels:
+                if v == via:
+                    continue
                 neighbor = rep.mutate(v)
                 form = canonical_form(neighbor)
                 if form in forms or form in rejected:
@@ -255,7 +293,8 @@ def explore(
                 if keep is not None and not keep(form, neighbor):
                     rejected.add(form)
                     continue
-                forms[form] = next_level[form] = neighbor
+                forms[form] = neighbor
+                next_level[form] = (neighbor, v)
                 if len(forms) >= budget:
                     return forms, False
         level = next_level

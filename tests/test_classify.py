@@ -1,6 +1,7 @@
 """Structural predicates, canonical forms, forkless exploration."""
 
 import importlib
+import itertools
 import random
 
 import pytest
@@ -242,6 +243,85 @@ def test_canonical_form_of_isomorphic_but_unequal_pair():
     q2 = Quiver.from_arrows([1, 2, 3], [(3, 2, 4), (2, 1, 4), (1, 3, 4)])
     assert q1 != q2
     assert canonical_form(q1) == canonical_form(q2)
+
+
+def _brute_canonical_form(q: Quiver) -> bytes:
+    """The row-major minimum of the exchange matrix over all n! orderings."""
+    rows, n = q.rows(), q.rank
+    flat = min([rows[i][j] for i in p for j in p] for p in itertools.permutations(range(n)))
+    return f"{n}|".encode() + ",".join(map(str, flat)).encode()
+
+
+def _with_copies(b: list[list[int]], copies: list[int]) -> list[list[int]]:
+    """``b`` with vertex ``i`` repeated ``copies[i]`` times; the copies of a
+    vertex are twins: equal rows, no arrow between them."""
+    src = [i for i, c in enumerate(copies) for _ in range(c)]
+    return [[b[i][j] for j in src] for i in src]
+
+
+def _tie_heavy_matrices(rng: random.Random):
+    """Exchange matrices of rank <= 6 whose orderings tie on many rows."""
+
+    def random_matrix(n: int, w: int) -> list[list[int]]:
+        return [list(row) for row in random_quiver(rng, n, w, min_n=n).rows()]
+
+    for n in range(7):
+        yield [[0] * n for _ in range(n)]  # arrowless
+    for _ in range(25):  # stars: one centre, leaves of few distinct weights
+        n = rng.randint(2, 6)
+        b = [[0] * n for _ in range(n)]
+        for leaf in range(1, n):
+            b[0][leaf] = rng.choice((-2, -1, 1, 1, 2))
+            b[leaf][0] = -b[0][leaf]
+        yield b
+    for _ in range(25):  # disjoint unions of equal pieces
+        k = rng.randint(1, 3)
+        m = rng.randint(2, 6 // k)
+        piece = random_matrix(k, 2)
+        yield [
+            [piece[i % k][j % k] if i // k == j // k else 0 for j in range(k * m)]
+            for i in range(k * m)
+        ]
+    for n in range(3, 7):  # oriented cycles, equal and then random weights
+        for weights in ([rng.randint(1, 3)] * n, [rng.randint(1, 3) for _ in range(n)]):
+            b = [[0] * n for _ in range(n)]
+            for i, w in enumerate(weights):
+                b[i][(i + 1) % n] = w
+                b[(i + 1) % n][i] = -w
+            yield b
+    for _ in range(40):  # twin classes
+        k = rng.randint(1, 4)
+        copies = [1] * k
+        for _ in range(rng.randint(1, 6 - k)):
+            copies[rng.randrange(k)] += 1
+        yield _with_copies(random_matrix(k, 2), copies)
+    for _ in range(40):  # near-twins: a pair with equal rows but an arrow
+        k = rng.randint(1, 5)
+        b = _with_copies(random_matrix(k, 2), [2] + [1] * (k - 1))
+        w = rng.choice((-2, -1, 1, 2))
+        b[0][1], b[1][0] = w, -w
+        yield b
+    for _ in range(150):  # multiplicity one, as in the classes of type A and D
+        yield random_matrix(rng.randint(4, 6), 1)
+    for _ in range(60):
+        yield random_matrix(rng.randint(1, 6), 3)
+
+
+def test_canonical_form_matches_brute_force_on_tie_heavy_families():
+    rng = random.Random(211)
+    for b in _tie_heavy_matrices(rng):
+        q = Quiver(range(1, len(b) + 1), b)
+        form = canonical_form(q)
+        assert form == _brute_canonical_form(q), b
+        labels = rng.sample(range(1, 40), q.rank)
+        relabeled = q.relabeled(dict(zip(q.mutable_labels, labels)))
+        assert canonical_form(relabeled) == form, b
+
+
+def test_canonical_form_of_arrowless_quiver_at_rank_10():
+    # All 10 vertices are twins of each other: one ordering stands for 10!.
+    q = Quiver.from_arrows(range(1, 11), [])
+    assert canonical_form(q) == b"10|" + b",".join([b"0"] * 100)
 
 
 def test_forkless_explore_a2():

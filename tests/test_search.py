@@ -249,6 +249,16 @@ def test_enumerate_class_triangle_regression():
     assert len(result.forms) == 4
 
 
+def test_enumerate_class_a7_exhausts_at_150_forms():
+    # Published size of the A7 class up to isomorphism.  Its quivers tie on
+    # many rows, so a canonical form that tries every tied ordering makes
+    # this walk take seconds instead of a fraction of one.
+    a7 = Quiver.from_arrows(range(1, 8), [(v, v + 1) for v in range(1, 7)])
+    result = enumerate_class(a7, node_budget=1000)
+    assert result.exhausted
+    assert len(result.forms) == 150
+
+
 def test_enumerate_class_budget():
     tri = Quiver.from_arrows([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
     result = enumerate_class(tri, node_budget=2)
