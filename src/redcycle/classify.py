@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import AlreadyFramedError, ForkStartError, FormatError, OutOfRangeError
-from .quiver import Quiver
+from .quiver import Quiver, _canonical_order
 
 #: Default node budget for bounded explorations; REDCYCLE_BUDGET overrides.
 DEFAULT_BUDGET = 100_000
@@ -179,78 +179,16 @@ def canonical_form(q: Quiver) -> bytes:
     over all vertex relabelings.
 
     Equal canonical forms exactly characterize isomorphic quivers.  The
-    search places vertices one row at a time and keeps the unplaced ones in
-    ordered cells: members of a cell agree on their arrows to every placed
-    vertex, so the next row's entries on placed columns are fixed, the next
-    vertex comes from the first cell, and its row's remaining entries are
-    least when each cell is read in ascending order of its arrows.  Only
-    candidates whose tail (the cells' values, each cell sorted) is least go
-    on; each cell is then split by the chosen vertex's row, ascending.  A
-    branch is cut at the first row that exceeds the least rows found so
-    far.  Of twins, vertices with equal rows (so no arrow between them),
-    one candidate stands for all: swapping them is an automorphism.
+    rows are read in the canonical order of one cell of all vertices
+    (``quiver._canonical_order``); by skew-symmetry the rows above fix
+    each row left of its diagonal.
     """
     if q.is_framed:
         raise AlreadyFramedError("canonical_form expects an unframed quiver")
-    n = q.rank
-    if n == 0:
-        return b"0|"
     rows = q.rows()
-    best: list[list[int]] = []  # per row, the least tail (entries right of the diagonal)
-    order: list[int] = []  # an ordering whose rows have the tails ``best``
-    placed: list[int] = []
-
-    def place(d: int, cells: list[list[int]]) -> None:
-        nonlocal order
-        first, rest = cells[0], cells[1:]
-        least: list[int] | None = None
-        chosen: list[int] = []
-        twins: set[tuple[int, ...]] = set()
-        for v in first:
-            row = rows[v]
-            if row in twins:
-                continue
-            twins.add(row)
-            tail = sorted([row[w] for w in first if w != v])
-            for cell in rest:
-                tail += sorted(map(row.__getitem__, cell))
-            if least is None or tail < least:
-                least, chosen = tail, [v]
-            elif tail == least:
-                chosen.append(v)
-        assert least is not None
-        if d < len(best):
-            if least > best[d]:
-                return
-            if least < best[d]:
-                del best[d:]
-        if d == len(best):
-            best.append(least)
-        for v in chosen:
-            row = rows[v]
-            split = []
-            for cell in ([w for w in first if w != v], *rest):
-                if len(cell) == 1:
-                    split.append(cell)
-                    continue
-                by_value: dict[int, list[int]] = {}
-                for w in cell:
-                    by_value.setdefault(row[w], []).append(w)
-                split.extend(by_value[x] for x in sorted(by_value))
-            placed.append(v)
-            if len(split) < n - d - 1:
-                place(d + 1, split)
-            else:  # every cell a single vertex: the rest of the order is forced
-                forced = placed + [w for w, in split]
-                tails = [[rows[forced[i]][w] for w in forced[i + 1 :]] for i in range(d + 1, n)]
-                if len(best) == d + 1 or tails < best[d + 1 :]:
-                    best[d + 1 :] = tails
-                    order = forced
-            placed.pop()
-
-    place(0, [list(range(n))])
+    order = _canonical_order(rows, [list(range(q.rank))])
     flat = ",".join([str(rows[i][j]) for i in order for j in order])
-    return f"{n}|{flat}".encode("ascii")
+    return f"{q.rank}|{flat}".encode("ascii")
 
 
 def explore(

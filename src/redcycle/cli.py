@@ -227,9 +227,15 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_distinguishing(args) -> int:
     t = load_quiver(args.infile)
-    ok = is_distinguishing(t, _read_sequence(args), _load_matrix(args.a))
-    _emit(args, {"distinguishing": ok}, [f"distinguishing: {ok}"])
-    return 0 if ok else 1
+    seq, a = _read_sequence(args), _load_matrix(args.a)
+    try:
+        doc = {"distinguishing": is_distinguishing(t, seq, a)}
+    except IntegerOverflowError as exc:
+        if exc.step is None:  # the extension itself is out of range: malformed input
+            raise
+        doc = {"distinguishing": False, "overflow_step": exc.step, "overflow": str(exc)}
+    _emit(args, doc, [f"{k}: {v}" for k, v in doc.items()])
+    return 0 if doc["distinguishing"] else 1
 
 
 def _cmd_catalog(args) -> int:

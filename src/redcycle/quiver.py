@@ -472,54 +472,102 @@ class Quiver:
         return f"Quiver({list(self._mutable)}{frame}: {arrows or 'no arrows'})"
 
 
-def find_isomorphism(q1: Quiver, q2: Quiver) -> Permutation | None:
-    """Search for a relabeling with ``q1.permuted(sigma) == q2``.
+def _canonical_order(rows: Sequence[Sequence[int]], cells: list[list[int]]) -> list[int]:
+    """The ordering of the indices in ``cells`` that keeps the cells in
+    order and makes the rows least: read at those indices, right of the
+    diagonal, row by row.
 
-    Backtracking over label bijections, pruned by a per-vertex invariant
-    (the multiset of signed entries of its row).  Candidates are tried in
-    ascending label order, so the result is deterministic.  Frozen labels
-    are held fixed, and since the result is a genuine permutation the two
-    quivers must share their label sets to be comparable at all.
+    The search places one index per row while the unplaced ones sit in
+    ordered cells: members of a cell agree on their entries at every placed
+    index, so the next row's entries at placed indices are fixed, the next
+    index comes from the first cell, and its row's remaining entries are
+    least when each cell is read in ascending order.  Only candidates whose
+    tail (the cells' values, each cell sorted) is least go on; each cell is
+    then split by the chosen index's row, ascending.  A branch is cut at the
+    first row that exceeds the least rows found so far.  Of twins, indices
+    with equal rows (so a zero entry between them), one candidate stands for
+    all: swapping them is an automorphism (McKay and Piperno, *Practical
+    graph isomorphism, II*, 2014).
     """
-    if set(q1.mutable_labels) != set(q2.mutable_labels):
-        return None
-    if q1.frozen_pairs != q2.frozen_pairs:
-        return None
-    mut = list(q1.mutable_labels)
-    fro = list(q1.frozen_labels)
+    n = sum(map(len, cells))
+    best: list[list[int]] = []  # per row, the least tail
+    order: list[int] = []  # an ordering whose rows have the tails ``best``
+    placed: list[int] = []
 
-    def invariant(q: Quiver, v: int) -> tuple:
-        frozen_row = tuple(q.b(v, f) for f in fro)
-        mutable_row = tuple(sorted(q.b(v, w) for w in mut if w != v))
-        return (frozen_row, mutable_row)
-
-    inv1 = {v: invariant(q1, v) for v in mut}
-    inv2 = {v: invariant(q2, v) for v in mut}
-
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(pos: int) -> bool:
-        if pos == len(mut):
-            return True
-        v = mut[pos]
-        for w in mut:
-            if w in used or inv1[v] != inv2[w]:
+    def place(d: int, cells: list[list[int]]) -> None:
+        nonlocal order
+        first, rest = cells[0], cells[1:]
+        least: list[int] | None = None
+        chosen: list[int] = []
+        twins: set[tuple[int, ...]] = set()
+        for v in first:
+            row = rows[v]
+            if row in twins:
                 continue
-            if any(q1.b(v, u) != q2.b(w, assigned[u]) for u in assigned):
-                continue
-            assigned[v] = w
-            used.add(w)
-            if extend(pos + 1):
-                return True
-            del assigned[v]
-            used.remove(w)
-        return False
+            twins.add(row)
+            tail = sorted([row[w] for w in first if w != v])
+            for cell in rest:
+                tail += sorted(map(row.__getitem__, cell))
+            if least is None or tail < least:
+                least, chosen = tail, [v]
+            elif tail == least:
+                chosen.append(v)
+        assert least is not None
+        if d < len(best):
+            if least > best[d]:
+                return
+            if least < best[d]:
+                del best[d:]
+        if d == len(best):
+            best.append(least)
+        for v in chosen:
+            row = rows[v]
+            split = []
+            for cell in ([w for w in first if w != v], *rest):
+                if len(cell) == 1:
+                    split.append(cell)
+                    continue
+                by_value: dict[int, list[int]] = {}
+                for w in cell:
+                    by_value.setdefault(row[w], []).append(w)
+                split.extend(by_value[x] for x in sorted(by_value))
+            placed.append(v)
+            if len(split) < n - d - 1:
+                place(d + 1, split)
+            else:  # every cell a single index: the rest of the order is forced
+                forced = placed + [w for w, in split]
+                tails = [[rows[forced[i]][w] for w in forced[i + 1 :]] for i in range(d + 1, n)]
+                if len(best) == d + 1 or tails < best[d + 1 :]:
+                    best[d + 1 :] = tails
+                    order = forced
+            placed.pop()
 
-    if not extend(0):
+    if n:
+        place(0, cells)
+    return order
+
+
+def find_isomorphism(q1: Quiver, q2: Quiver) -> Permutation | None:
+    """A relabeling ``sigma`` of the mutable labels with
+    ``q1.permuted(sigma) == q2``, or None when there is none.
+
+    Frozen labels stay fixed, so the quivers must share their labels and
+    frozen pairs.  Each quiver's mutable indices are put in canonical order
+    (:func:`_canonical_order`), in cells by their row on the frozen columns,
+    ascending.  Isomorphic quivers have equal rows in those orders, so
+    matching the orders position by position finds an isomorphism when
+    there is one.  Equal quivers give the identity.
+    """
+    if q1.mutable_labels != q2.mutable_labels or q1.frozen_pairs != q2.frozen_pairs:
         return None
-    sigma = Permutation(assigned)
-    # Round-trip check: every hit must map q1 onto q2 exactly.
-    if q1.permuted(sigma) != q2:
-        raise AssertionError("isomorphism search returned an invalid mapping")
-    return sigma
+    n = q1.rank
+    orders = []
+    for q in (q1, q2):
+        rows = q.rows()
+        cells: dict[tuple[int, ...], list[int]] = {}
+        for i in range(n):
+            cells.setdefault(rows[i][n:], []).append(i)
+        orders.append(_canonical_order(rows, [cells[key] for key in sorted(cells)]))
+    labels = q1.labels
+    sigma = Permutation({labels[a]: labels[b] for a, b in zip(*orders)})
+    return sigma if q1.permuted(sigma) == q2 else None

@@ -1,7 +1,6 @@
 """Structural predicates, canonical forms, forkless exploration."""
 
 import importlib
-import itertools
 import random
 
 import pytest
@@ -24,6 +23,7 @@ from redcycle.errors import AlreadyFramedError, CyclicQuiverError, ForkStartErro
 from redcycle.reddening import source_sequence
 
 from conftest import random_abundant_acyclic, random_fork, random_quiver
+from reference import brute_canonical_form
 
 
 def test_quiver_types_trio():
@@ -245,13 +245,6 @@ def test_canonical_form_of_isomorphic_but_unequal_pair():
     assert canonical_form(q1) == canonical_form(q2)
 
 
-def _brute_canonical_form(q: Quiver) -> bytes:
-    """The row-major minimum of the exchange matrix over all n! orderings."""
-    rows, n = q.rows(), q.rank
-    flat = min([rows[i][j] for i in p for j in p] for p in itertools.permutations(range(n)))
-    return f"{n}|".encode() + ",".join(map(str, flat)).encode()
-
-
 def _with_copies(b: list[list[int]], copies: list[int]) -> list[list[int]]:
     """``b`` with vertex ``i`` repeated ``copies[i]`` times; the copies of a
     vertex are twins: equal rows, no arrow between them."""
@@ -312,7 +305,7 @@ def test_canonical_form_matches_brute_force_on_tie_heavy_families():
     for b in _tie_heavy_matrices(rng):
         q = Quiver(range(1, len(b) + 1), b)
         form = canonical_form(q)
-        assert form == _brute_canonical_form(q), b
+        assert form == brute_canonical_form(q), b
         labels = rng.sample(range(1, 40), q.rank)
         relabeled = q.relabeled(dict(zip(q.mutable_labels, labels)))
         assert canonical_form(relabeled) == form, b

@@ -119,6 +119,41 @@ def test_cli_cycle_verify_overflowing_input_is_malformed(tmp_path, capsys):
     assert captured.err.startswith("error: arrow multiplicity exceeds 64-bit range")
 
 
+def test_cli_distinguishing_names_the_overflow_step(tmp_path, capsys):
+    # A legal walk that leaves the 64-bit range is not distinguishing
+    # (exit 1), and the verdict names the step; it is not malformed input.
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"vertices": [1, 2], "arrows": [[1, 2, 3]]}))
+    argv = ["distinguishing", "--in", str(path), "--seq", ",".join(["1,2"] * 40),
+            "--a", "[[1],[1]]"]
+    assert main(argv + ["--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "distinguishing": False,
+        "overflow_step": 46,
+        "overflow": "arrow multiplicity exceeds 64-bit range at (2, 3), at sequence index 46",
+    }
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("distinguishing: False\noverflow_step: 46\n")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("arrows, a", [
+    ([[1, 2, 2**63]], "[[1],[1]]"),  # the input quiver
+    ([[1, 2, 3]], f"[[{2**63}],[1]]"),  # the extension it builds
+])
+def test_cli_distinguishing_overflowing_input_is_malformed(tmp_path, capsys, arrows, a):
+    # An overflow that is not a step of the walk is bad input: exit 2.
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"vertices": [1, 2], "arrows": arrows}))
+    assert main(["distinguishing", "--in", str(path), "--seq", "1,2", "--a", a]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: arrow multiplicity exceeds 64-bit range")
+
+
 @pytest.mark.parametrize("command", ["cmatrix", "reddening-verify"])
 def test_cli_frame_label_is_an_unknown_vertex(tmp_path, capsys, command):
     path = tmp_path / "q.json"

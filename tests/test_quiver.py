@@ -7,7 +7,9 @@ import pytest
 from redcycle import (
     Permutation,
     Quiver,
+    coframed,
     find_isomorphism,
+    framed,
     inverse_sequence,
     reduce_sequence,
 )
@@ -19,6 +21,7 @@ from redcycle.errors import (
 from redcycle.quiver import _mutated_rows
 
 from conftest import random_quiver, random_sequence
+from reference import brute_isomorphism
 
 
 def kprime():
@@ -222,29 +225,38 @@ def test_find_isomorphism_roundtrip_on_random_relabelings():
 
 
 def test_find_isomorphism_matches_brute_force():
-    from itertools import permutations as perms
+    def check(q1, q2):
+        sigma = find_isomorphism(q1, q2)
+        assert (sigma is None) == (brute_isomorphism(q1, q2) is None)
+        assert sigma is None or q1.permuted(sigma) == q2
+        return sigma is not None
 
-    def brute(q1, q2):
-        labs = q1.mutable_labels
-        for image in perms(labs):
-            sigma = Permutation(dict(zip(labs, image)))
-            if q1.permuted(sigma) == q2:
-                return sigma
-        return None
+    def relabeled(q):
+        labels = list(q.mutable_labels)
+        shuffled = labels[:]
+        rng.shuffle(shuffled)
+        return q.permuted(Permutation(dict(zip(labels, shuffled))))
 
     rng = random.Random(173)
     for _ in range(300):
         q1 = random_quiver(rng, max_n=4, max_weight=2)
         if rng.random() < 0.5:
-            labels = list(q1.mutable_labels)
-            shuffled = labels[:]
-            rng.shuffle(shuffled)
-            q2 = q1.permuted(Permutation(dict(zip(labels, shuffled))))
+            q2 = relabeled(q1)
         else:
             q2 = random_quiver(rng, max_n=4, max_weight=2)
         if set(q1.mutable_labels) != set(q2.mutable_labels):
             continue
-        assert (find_isomorphism(q1, q2) is None) == (brute(q1, q2) is None)
+        check(q1, q2)
+    # Framed and coframed walk states: frozen labels stay fixed, so an
+    # isomorphism must also match the rows on the frozen columns.
+    for frame in (framed, coframed):
+        hits = []
+        for _ in range(100):
+            start = frame(random_quiver(rng, max_n=5, max_weight=2))
+            state = start.mutate_seq(random_sequence(rng, start, 6))
+            hits.append(check(state, relabeled(state)))
+            hits.append(check(state, start.mutate_seq(random_sequence(rng, start, 6))))
+        assert 0 < sum(hits) < len(hits)
 
 
 def test_permuted_identity_and_inverse():
