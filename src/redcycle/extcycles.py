@@ -259,7 +259,7 @@ def is_distinguishing(
     """
     mat = _as_matrix(a)
     k = len(mat[0]) if mat else 0
-    base = max(t.labels)
+    base = max(t.labels, default=0)
     isolated = Quiver.from_arrows(range(base + 1, base + 1 + k), [])
     ext = triangular_extension(ExtensionSpec(t, isolated, mat))
     traj = ext.trajectory(tuple(seq))

@@ -6,9 +6,13 @@ sequence records, for each mutable vertex, its signed arrow counts to the
 frozen vertices of the mutated framed quiver.  Row sign-coherence of every
 C-matrix is a theorem, so a violation is always raised as a hard error.
 
-This module is the only reader of framed states: every C-matrix, vertex
-color and reddening verdict (``CMatrix.reddening_permutation``) in the
-package comes from here, the search's raw-matrix walk included.
+A framed state is the n mutable rows over the n + m columns of its
+labels, mutable then frozen (:meth:`Quiver.mutable_rows`); the frozen rows
+are implied, each minus a column of those rows.  The C-matrix is the
+mutable-by-frozen block of them, so every reading here takes only those n
+rows.  This module is the only reader of framed states: every C-matrix,
+vertex color and reddening verdict (``CMatrix.reddening_permutation``) in
+the package comes from here, the search's raw-row walk included.
 """
 
 from __future__ import annotations
@@ -56,14 +60,13 @@ def coframed(q: Quiver) -> Quiver:
 def _extend(q: Quiver, down: bool) -> Quiver:
     if q.is_framed:
         raise AlreadyFramedError("quiver already carries frozen vertices")
-    offset = _frozen_offset(max(q.mutable_labels))
+    offset = _frozen_offset(max(q.mutable_labels, default=0))
     pairs = tuple((v, v + offset) for v in q.mutable_labels)
     # Frozen partners sort like their vertices, so in the ascending layout
     # the frame is a signed identity block beside the mutable rows.
     e = -1 if down else 1
     n = q.rank
     rows = tuple(row + tuple(e * (i == j) for j in range(n)) for i, row in enumerate(q.rows()))
-    rows += tuple(tuple(-e * (i == j) for j in range(n)) + (0,) * n for i in range(n))
     return Quiver._trusted(q.mutable_labels, pairs, rows)
 
 
@@ -137,27 +140,6 @@ class CMatrix:
             )
         return sigma
 
-    def determinant(self) -> int:
-        """Exact integer determinant (Bareiss fraction-free elimination)."""
-        n = len(self.labels)
-        m = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for swap in range(k + 1, n):
-                    if m[swap][k] != 0:
-                        m[k], m[swap] = m[swap], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1] if n else 1
-
 
 _Positions = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -175,14 +157,14 @@ def _positions(framed_state: Quiver) -> _Positions:
 
 
 def _read(rows: Sequence[Sequence[int]], pos: _Positions) -> CMatrix:
-    """The C-matrix of exchange-matrix ``rows`` at the positions ``pos``."""
+    """The C-matrix of the mutable ``rows`` at the positions ``pos``."""
     labels, cols = pos
-    return CMatrix(labels, tuple(tuple(row[c] for c in cols) for row in rows[: len(labels)]))
+    return CMatrix(labels, tuple(tuple(row[c] for c in cols) for row in rows))
 
 
 def read_c_matrix(framed_state: Quiver) -> CMatrix:
     """Read the mutable-by-frozen block out of a framed (and mutated) quiver."""
-    return _read(framed_state.rows(), _positions(framed_state))
+    return _read(framed_state.mutable_rows(), _positions(framed_state))
 
 
 def _coherent(c: CMatrix) -> CMatrix:
@@ -202,12 +184,12 @@ def c_matrix(q: Quiver, seq: Iterable[int]) -> CMatrix:
     state = framed(q)
     pos = _positions(state)
     mutable = frozenset(pos[0])
-    c = _coherent(_read(state.rows(), pos))
+    c = _coherent(_read(state.mutable_rows(), pos))
     for v in seq:
         if v not in mutable:
             raise UnknownVertexError(f"unknown vertex {v}")
         state = state.mutate(v)
-        c = _coherent(_read(state.rows(), pos))
+        c = _coherent(_read(state.mutable_rows(), pos))
     return c
 
 

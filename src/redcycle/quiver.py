@@ -1,7 +1,7 @@
 """Labeled quivers and the mutation operation.
 
 A quiver is a finite directed multigraph with no loops or oriented 2-cycles,
-stored as a skew-symmetric integer exchange matrix indexed by vertex labels.
+given by a skew-symmetric integer exchange matrix indexed by vertex labels.
 Labels are opaque positive integers and are never renumbered implicitly; a
 quiver may additionally carry frozen vertices, each paired with the mutable
 vertex it was split off from.
@@ -10,16 +10,24 @@ All values are immutable; every operation returns a fresh quiver.  Arrow
 multiplicities are kept exact and checked against the signed 64-bit range,
 since mutation can grow entries exponentially.
 
+A quiver stores only the rows of its n mutable vertices, over all n + m
+columns in the ascending layout (mutable labels then frozen labels, each
+ascending): the transpose of the extended exchange matrix of Fomin and
+Zelevinsky (*Cluster algebras IV: coefficients*, 2007).  The frozen rows
+are implied: no arrows join two frozen vertices, so frozen row f is minus
+column f of the mutable rows, and :meth:`Quiver.rows` builds the square
+matrix on demand.  Mutation acts on the mutable rows by one rectangular
+rule (:func:`_mutated_rows`).
+
 Input is validated where it enters the library: ``Quiver(...)``,
 :meth:`Quiver.from_arrows` and the loaders in ``formats`` check labels,
 shape, skew-symmetry, the 64-bit range and the absence of frozen-frozen
 arrows.  Every quiver the library derives from a checked one (mutation,
 restriction, the opposite, relabelings, framings) goes through the private
 trusted constructor, which checks nothing: the invariant is that every
-``Quiver`` value satisfies those checks and stores its rows in the ascending
-layout (mutable labels then frozen labels, each ascending).  The only check
-a derivation cannot skip is the 64-bit range after a mutation, and that
-costs only the entries the mutation grew (:func:`_first_over`).
+``Quiver`` value satisfies those checks.  The only check a derivation
+cannot skip is the 64-bit range after a mutation, and the kernel makes it
+on the entries it grows, as it writes them.
 """
 
 from __future__ import annotations
@@ -64,65 +72,47 @@ def is_reduced(seq: Sequence[int]) -> bool:
 
 
 def _mutated_rows(
-    rows: Sequence[Sequence[int]], k: int, frozen: Sequence[int] = ()
-) -> list[list[int]]:
-    """Matrix-form mutation at index k; the caller owns validation.
+    rows: Sequence[Sequence[int]], k: int, limit: int
+) -> list[Sequence[int]]:
+    """Mutation at index k of the mutable rows ``rows`` over all columns.
 
-    Paths frozen -> k -> frozen would create arrows between the frozen
-    indices ``frozen``; they never feed back into anything, so every entry
-    between two of them is cleared.
+    Entry (i, j) grows by ``|b_ik| * b_kj`` where ``b_ik`` and ``b_kj`` have
+    the same sign (Fomin and Zelevinsky's rule), and row and column k change
+    sign.  When ``rows`` are within ``[-limit, limit]``, only the grown
+    entries can leave it, so only they are checked, as they are written:
+    the first one beyond it raises ``OverflowError(i, j)``.  Rows, then
+    columns, are scanned in ascending order, and (j, i) grows with (i, j),
+    so that entry has ``i < j`` and is the first out-of-range pair of the
+    square matrix in row-major order.  Rows that do not touch k are shared
+    with ``rows``; changed ones are new tuples.
     """
-    n = len(rows)
-    new = [list(row) for row in rows]
     rowk = rows[k]
-    pos_in = [(i, rows[i][k]) for i in range(n) if rows[i][k] > 0]
-    pos_out = [(j, rowk[j]) for j in range(n) if rowk[j] > 0]
-    for i, a in pos_in:
-        ri = new[i]
-        for j, c in pos_out:
-            d = a * c
-            ri[j] += d
-            new[j][i] -= d
-    for i in range(n):
-        new[i][k] = -rows[i][k]
-    new[k] = [-x for x in rowk]
-    for a in frozen:
-        row = new[a]
-        for c in frozen:
-            row[c] = 0
+    pos = [j for j, c in enumerate(rowk) if c > 0]
+    neg = [j for j, c in enumerate(rowk) if c < 0]
+    new = list(rows)
+    for i, row in enumerate(rows):
+        a = row[k]
+        if not a:
+            continue
+        r = list(row)
+        r[k] = -a
+        for j in pos if a > 0 else neg:
+            x = r[j] + abs(a) * rowk[j]
+            if abs(x) > limit:
+                raise OverflowError(i, j)
+            r[j] = x
+        new[i] = tuple(r)
+    new[k] = tuple([-x for x in rowk])
     return new
-
-
-def _first_over(
-    rows: Sequence[Sequence[int]], rowk: Sequence[int], limit: int
-) -> tuple[int, int] | None:
-    """The first pair ``(i, j)``, ``i < j`` in row-major order, at which
-    ``rows`` (a mutation at k) holds an entry beyond ``limit``, or None.
-
-    ``rowk`` is row k before the mutation.  Mutation at k only negates row
-    and column k, which keeps every |entry|, and writes new magnitudes only
-    in the block in(k) x out(k), read off the signs of ``rowk``.  So when
-    every entry was within ``limit`` before, this block is all there is to
-    check; the frozen-frozen cells in it were cleared to zero.
-    """
-    outs = [j for j, x in enumerate(rowk) if x > 0]
-    bad = []
-    for i, x in enumerate(rowk):
-        if x < 0:
-            row = rows[i]
-            for j in outs:
-                if abs(row[j]) > limit:
-                    bad.append((min(i, j), max(i, j)))
-    return min(bad, default=None)
 
 
 class Quiver:
     """An immutable labeled quiver with an optional frozen frame.
 
     The exchange matrix entry ``b(i, j)`` counts arrows ``i -> j`` minus
-    arrows ``j -> i``.  No arrows between two frozen vertices are ever
-    stored: they cannot influence the mutable part or the C-matrix, so they
-    are discarded after each mutation.
+    arrows ``j -> i``.  No arrows join two frozen vertices: they cannot
+    influence the mutable part or the C-matrix, so the mutable rows fix the
+    quiver and are all it stores.
     """
 
     __slots__ = ("_mutable", "_frozen_pairs", "_labels", "_index", "_rows")
@@ -137,10 +127,10 @@ class Quiver:
         """Build a quiver from an exchange matrix.
 
         ``rows`` is indexed by ``labels`` (all labels, mutable then frozen in
-        ascending order if omitted).  The rows are stored in that ascending
-        layout whatever order ``labels`` lists, so equal quivers compare,
-        hash and encode equal.  Prefer :meth:`from_arrows` for literal
-        quivers.
+        ascending order if omitted).  Its mutable rows are stored in that
+        ascending layout whatever order ``labels`` lists, so equal quivers
+        compare, hash and encode equal.  Prefer :meth:`from_arrows` for
+        literal quivers.
         """
         self._mutable = tuple(sorted(mutable_labels))
         self._frozen_pairs = tuple(sorted(frozen_pairs))
@@ -151,8 +141,8 @@ class Quiver:
         self._validate(frozen, self._labels if labels is None else tuple(labels))
 
     def _validate(self, frozen: tuple[int, ...], labels: tuple[int, ...]) -> None:
-        """Check the caller's labels and matrix, then store the rows in the
-        ascending layout."""
+        """Check the caller's labels and matrix, then store its mutable rows
+        in the ascending layout."""
         n = len(labels)
         if set(self._mutable) & set(frozen):
             raise ValueError("frozen labels must be disjoint from mutable labels")
@@ -188,6 +178,7 @@ class Quiver:
             for b in fro_idx:
                 if rows[a][b] != 0:
                     raise ValueError("arrows between frozen vertices are not stored")
+        self._rows = rows[: len(self._mutable)]
 
     @classmethod
     def _trusted(
@@ -198,9 +189,9 @@ class Quiver:
     ) -> "Quiver":
         """A quiver from parts derived from checked ones; checks nothing.
 
-        ``mutable`` and ``frozen_pairs`` are sorted, and ``rows`` is a tuple
-        of tuples in the ascending layout that already passes every check of
-        :meth:`_validate`.
+        ``mutable`` and ``frozen_pairs`` are sorted, and ``rows`` holds the
+        mutable rows, tuples in the ascending layout, of a matrix that
+        already passes every check of :meth:`_validate`.
         """
         q = object.__new__(cls)
         q._mutable = mutable
@@ -211,7 +202,7 @@ class Quiver:
         return q
 
     def _with_rows(self, rows: tuple[tuple[int, ...], ...]) -> "Quiver":
-        """This quiver's vertices with the trusted exchange matrix ``rows``."""
+        """This quiver's vertices with the trusted mutable rows ``rows``."""
         q = object.__new__(Quiver)
         q._mutable = self._mutable
         q._frozen_pairs = self._frozen_pairs
@@ -232,7 +223,7 @@ class Quiver:
         pairs = tuple(sorted(frozen_pairs))
         at = {v: i for i, v in enumerate(new_labels)}
         idx = [at[v] for v in mutable + tuple(sorted(f for _, f in pairs))]
-        rows = tuple(tuple(self._rows[a][b] for b in idx) for a in idx)
+        rows = tuple(tuple(self._rows[a][b] for b in idx) for a in idx[: len(mutable)])
         return Quiver._trusted(mutable, pairs, rows)
 
     # -- construction -------------------------------------------------
@@ -306,20 +297,31 @@ class Quiver:
     def b(self, i: int, j: int) -> int:
         """Signed arrow count from ``i`` to ``j``."""
         try:
-            return self._rows[self._index[i]][self._index[j]]
+            a, c = self._index[i], self._index[j]
         except KeyError as exc:
             raise UnknownVertexError(f"unknown vertex {exc.args[0]}") from None
+        n = len(self._rows)
+        if a < n:
+            return self._rows[a][c]
+        return -self._rows[c][a] if c < n else 0
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The exchange matrix in ``labels`` order."""
+        """The exchange matrix in ``labels`` order; frozen row f is minus
+        column f of the mutable rows."""
+        rows, m = self._rows, len(self._frozen_pairs)
+        n = len(rows)
+        return rows + tuple(tuple(-row[f] for row in rows) + (0,) * m for f in range(n, n + m))
+
+    def mutable_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The mutable rows of :meth:`rows`, which fix the quiver: the
+        transposed extended exchange matrix."""
         return self._rows
 
     def arrows(self) -> Iterator[tuple[int, int, int]]:
         """Yield arrows ``(src, dst, mult)`` sorted by source then target."""
-        n = len(self._labels)
         out = []
-        for i in range(n):
-            for j in range(i + 1, n):
+        for i in range(len(self._rows)):
+            for j in range(i + 1, len(self._labels)):
                 x = self._rows[i][j]
                 if x > 0:
                     out.append((self._labels[i], self._labels[j], x))
@@ -331,7 +333,7 @@ class Quiver:
         """Exact labeled encoding: equal bytes if and only if equal quivers."""
         head = ",".join(map(str, self._mutable))
         frame = ";".join(f"{m}>{f}" for m, f in self._frozen_pairs)
-        body = ";".join(",".join(map(str, row)) for row in self._rows)
+        body = ";".join(",".join(map(str, row)) for row in self.rows())
         return f"{head}|{frame}|{body}".encode("ascii")
 
     # -- mutation ------------------------------------------------------
@@ -351,14 +353,14 @@ class Quiver:
         ``b(u, v) * b(v, w)``, then row and column ``v`` change sign.
         """
         k = self._check_mutable(v)
-        new = _mutated_rows(self._rows, k, range(len(self._mutable), len(self._labels)))
-        bad = _first_over(new, self._rows[k], INT_LIMIT)
-        if bad is not None:
-            i, j = bad
+        try:
+            new = _mutated_rows(self._rows, k, INT_LIMIT)
+        except OverflowError as exc:
+            i, j = exc.args
             raise IntegerOverflowError(
                 f"arrow multiplicity exceeds 64-bit range at ({self._labels[i]}, {self._labels[j]})"
-            )
-        return self._with_rows(tuple(map(tuple, new)))
+            ) from None
+        return self._with_rows(tuple(new))
 
     def mutate_seq(self, seq: Iterable[int]) -> "Quiver":
         """Left-to-right fold of :meth:`mutate`."""
@@ -397,7 +399,7 @@ class Quiver:
         pairs = tuple((m, f) for m, f in self._frozen_pairs if m in kept and f in kept)
         mutable = tuple(v for v in self._mutable if v in kept)
         idx = [i for i, v in enumerate(self._labels) if v in kept]
-        rows = tuple(tuple(self._rows[a][b] for b in idx) for a in idx)
+        rows = tuple(tuple(self._rows[a][b] for b in idx) for a in idx[: len(mutable)])
         return Quiver._trusted(mutable, pairs, rows)
 
     def opposite(self) -> "Quiver":
@@ -563,7 +565,7 @@ def find_isomorphism(q1: Quiver, q2: Quiver) -> Permutation | None:
     n = q1.rank
     orders = []
     for q in (q1, q2):
-        rows = q.rows()
+        rows = q._rows
         cells: dict[tuple[int, ...], list[int]] = {}
         for i in range(n):
             cells.setdefault(rows[i][n:], []).append(i)

@@ -36,10 +36,10 @@ def is_maximal_green(q: Quiver, seq: Iterable[int]) -> Permutation | None:
     state = framed(q)
     pos = _positions(state)
     for v in seq:
-        if _read(state.rows(), pos).row_color(v) is not Color.GREEN:
+        if _read(state.mutable_rows(), pos).row_color(v) is not Color.GREEN:
             return None
         state = state.mutate(v)
-    return _read(state.rows(), pos).reddening_permutation()
+    return _read(state.mutable_rows(), pos).reddening_permutation()
 
 
 def conjugate_reddening(

@@ -2,9 +2,13 @@
 
 The reddening search walks framed states depth-first in ascending vertex
 order, so results are deterministic and come out in lexicographic order.
-Branches whose arrow weights pass a guardrail are aborted and counted
-rather than silently dropped; a search is *complete* within its length
-bound exactly when no branch was aborted.
+Each state is the n mutable rows over the 2n columns of the framed quiver;
+the frozen rows are implied, and the C-matrix is the right half of the
+rows.  Branches whose arrow weights pass a guardrail are aborted and
+counted rather than silently dropped: the mutation kernel checks the
+entries it grows as it writes them and raises at the first one over the
+guardrail, and that raise is one cut.  A search is *complete* within its
+length bound exactly when no branch was aborted.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from .classify import explore
 from .errors import OutOfRangeError
 from .framing import Color, _color, _positions, _read, framed
 from .permutation import Permutation
-from .quiver import MutationSequence, Quiver, _first_over, _mutated_rows
+from .quiver import MutationSequence, Quiver, _mutated_rows
 
 #: Abort a search branch once any arrow multiplicity passes this bound.
 WEIGHT_GUARDRAIL = 2**40
@@ -71,7 +75,7 @@ def search_reddening(
         raise OutOfRangeError(f"max_len must be >= 0, got {max_len}")
     start = framed(q)
     mutable, cols = pos = _positions(start)
-    rows0 = [list(row) for row in start.rows()]
+    rows0 = start.mutable_rows()
     # A child passes the guardrail when the entries its mutation grew do
     # (every other |entry| is its parent's), unless the start state itself
     # is over the limit: then no child can pass.
@@ -82,7 +86,7 @@ def search_reddening(
     # key (None unless prune_revisited, and then never looked up) and the
     # vertices not yet tried from it.  Trying vertices in ascending order
     # makes this a preorder walk, which emits sequences in lexicographic order.
-    key0 = tuple(map(tuple, rows0)) if prune_revisited else None
+    key0 = rows0 if prune_revisited else None
     stack = [(rows0, (), key0, enumerate(mutable))] if max_len else []
     path = {key0}
     while stack:
@@ -92,15 +96,19 @@ def search_reddening(
                 continue
             if green_only and _color([rows[i][c] for c in cols], v) is not Color.GREEN:
                 continue
-            child = _mutated_rows(rows, i, cols)
-            if start_over or _first_over(child, rows[i], weight_limit) is not None:
+            if start_over:
                 overflow += 1
                 continue
-            child_key = tuple(map(tuple, child)) if prune_revisited else None
+            try:
+                child = _mutated_rows(rows, i, weight_limit)
+            except OverflowError:
+                overflow += 1
+                continue
+            child_key = tuple(child) if prune_revisited else None
             if prune_revisited and child_key in path:
                 continue
             child_seq = seq + (v,)
-            if all(row[c] <= 0 for row in child[: len(mutable)] for c in cols):
+            if all(row[c] <= 0 for row in child for c in cols):
                 found.append((child_seq, _read(child, pos).reddening_permutation()))
                 if first_only:
                     return SearchResult(sequences=tuple(found), overflow_branches=overflow)

@@ -1,7 +1,8 @@
-"""Brute-force references for the library's fast paths.
+"""Slow, obviously right references for the library's fast paths.
 
-Each one tries every ordering or relabeling of the mutable vertices, so it
-is obviously right and only fit for small ranks (n <= 6).
+They work on plain lists with unbounded integers and share no code with
+the library.  The brute-force ones try every ordering or relabeling of the
+mutable vertices, so they are only fit for small ranks (n <= 6).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 from redcycle import Permutation, Quiver
+from redcycle.search import WEIGHT_GUARDRAIL
 
 
 def brute_canonical_form(q: Quiver) -> bytes:
@@ -26,4 +28,144 @@ def brute_isomorphism(q1: Quiver, q2: Quiver) -> Permutation | None:
         sigma = Permutation(dict(zip(labs, image)))
         if q1.permuted(sigma) == q2:
             return sigma
+    return None
+
+
+def mutate_matrix(b: list[list[int]], k: int) -> list[list[int]]:
+    """Reference mutation of a plain exchange matrix at index ``k``.
+
+    ``b'_ij = -b_ij`` if ``k`` is ``i`` or ``j``, else
+    ``b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2``.  Python integers are
+    unbounded, so there is no 64-bit guard, and no entry is ever cleared:
+    this is the textbook rule, independent of ``Quiver.mutate``.
+    """
+    n = len(b)
+    return [
+        [
+            -b[i][j] if k in (i, j)
+            else b[i][j] + (abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])) // 2
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def reference_search_reddening(
+    q: Quiver,
+    max_len: int,
+    reduced_only: bool = False,
+    green_only: bool = False,
+    first_only: bool = False,
+    prune_revisited: bool = False,
+    weight_limit: int = WEIGHT_GUARDRAIL,
+) -> tuple[tuple, int]:
+    """Reference reddening search: a recursive depth-first walk on plain
+    lists, returning ``(sequences, overflow_branches)``.
+
+    It shares no code with the library's walk.  The framed state is the
+    matrix ``[[B, I], [-I, 0]]``, stepped with :func:`mutate_matrix`, after
+    which the frozen-frozen block is cleared: a framed quiver holds no
+    arrows between frozen vertices.  Colours
+    and the permutation are read straight off the C block, the top-right
+    ``n x n`` block.  Python's recursion limit bounds ``max_len`` here to
+    somewhat under 1,000.
+    """
+    mutable = q.mutable_labels
+    n = len(mutable)
+    b = q.rows()
+    rows0 = [list(b[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    rows0 += [[-int(i == j) for j in range(n)] + [0] * n for i in range(n)]
+
+    def step(rows, k):
+        child = mutate_matrix(rows, k)
+        for row in child[n:]:
+            row[n:] = [0] * n
+        return child
+
+    def green(rows, i):
+        return all(x >= 0 for x in rows[i][n:])
+
+    def permutation(rows):
+        # Column j of C = -P_sigma holds its -1 in row sigma(j).
+        return Permutation({
+            mutable[j]: mutable[next(i for i in range(n) if rows[i][n + j])]
+            for j in range(n)
+        })
+
+    found = []
+    overflow = 0
+    stop = False
+
+    def dfs(rows, seq, path, depth):
+        nonlocal overflow, stop
+        if stop or depth == max_len:
+            return
+        last = seq[-1] if seq else None
+        for i, v in enumerate(mutable):
+            if reduced_only and v == last:
+                continue
+            if green_only and not green(rows, i):
+                continue
+            child = step(rows, i)
+            if any(abs(x) > weight_limit for row in child for x in row):
+                overflow += 1
+                continue
+            key = None
+            if prune_revisited:
+                key = tuple(tuple(row) for row in child)
+                if key in path:
+                    continue
+            child_seq = seq + (v,)
+            if all(x <= 0 for row in child[:n] for x in row[n:]):
+                found.append((child_seq, permutation(child)))
+                if first_only:
+                    stop = True
+                    return
+            if prune_revisited:
+                path.add(key)
+            dfs(child, child_seq, path, depth + 1)
+            if prune_revisited:
+                path.discard(key)
+            if stop:
+                return
+
+    path = set()
+    if prune_revisited:
+        path.add(tuple(tuple(row) for row in rows0))
+    dfs(rows0, (), path, 0)
+    found.sort(key=lambda item: item[0])
+    return tuple(found), overflow
+
+
+def determinant(rows) -> int:
+    """Exact integer determinant (Bareiss fraction-free elimination)."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for swap in range(k + 1, n):
+                if m[swap][k] != 0:
+                    m[k], m[swap] = m[swap], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def first_over(rows, limit: int, frozen=frozenset()) -> tuple[int, int] | None:
+    """The first pair ``(i, j)``, ``i < j``, in row-major order at which the
+    square matrix ``rows`` holds an entry beyond ``limit``, or None.  Pairs
+    of two indices in ``frozen`` are skipped: no arrows join frozen
+    vertices."""
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(row)):
+            if abs(row[j]) > limit and not (i in frozen and j in frozen):
+                return i, j
     return None

@@ -49,7 +49,8 @@ from redcycle.extcycles import ExtensionSpec
 from redcycle.framing import Color
 from redcycle.quiver import INT_LIMIT
 
-from conftest import mutate_matrix, random_fork, random_quiver, random_sequence
+from conftest import random_fork, random_quiver, random_sequence
+from reference import mutate_matrix
 
 
 def _criterion(cid: str, description: str, ok: bool) -> None:

@@ -20,7 +20,8 @@ from redcycle.formats import load_quiver
 from redcycle.quiver import INT_LIMIT
 from redcycle.reddening import is_maximal_green, source_sequence
 
-from conftest import mutate_matrix, random_quiver
+from conftest import random_quiver
+from reference import mutate_matrix
 
 
 def _full_scan(labels, rows) -> str | None:

@@ -335,3 +335,26 @@ def test_cli_malformed_budget_environment_exits_2(kprime_file, capsys, monkeypat
     monkeypatch.setenv("REDCYCLE_BUDGET", "3")
     assert main([command, "--in", kprime_file, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["forms"] == 3
+
+
+def test_cli_rank_zero_quiver_gets_a_report(tmp_path, capsys):
+    # The loader accepts the quiver with no vertices, so every command that
+    # frames it or extends it must report on it, with or without --json.
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"vertices": [], "arrows": []}))
+    commands = [
+        ["cmatrix", "--seq", ""],
+        ["reddening-verify", "--seq", ""],
+        ["reddening-verify", "--green", "--seq", ""],
+        ["reddening-search", "--max-len", "3"],
+        ["mgs-search", "--max-len", "3"],
+        ["distinguishing", "--seq", "", "--a", "[]"],
+    ]
+    for argv in commands:
+        for json_flag in ([], ["--json"]):
+            status = main(argv + ["--in", str(path)] + json_flag)
+            captured = capsys.readouterr()
+            assert status in (0, 1), argv
+            assert "Traceback" not in captured.err
+            if json_flag:
+                json.loads(captured.out)

@@ -18,10 +18,10 @@ from redcycle.errors import (
     IntegerOverflowError,
     UnknownVertexError,
 )
-from redcycle.quiver import _mutated_rows
+from redcycle.quiver import INT_LIMIT, _mutated_rows
 
 from conftest import random_quiver, random_sequence
-from reference import brute_isomorphism
+from reference import brute_isomorphism, mutate_matrix
 
 
 def kprime():
@@ -355,14 +355,16 @@ def test_permutation_rejects_non_bijection():
         Permutation.from_cycles((1, 2), (2, 3))
 
 
-def test_kernel_clears_frozen_frozen_entries():
-    # The path 11 -> 1 -> 12 through the mutated vertex would create the
-    # arrow 11 -> 12 between two frozen vertices.
+def test_kernel_leaves_no_frozen_frozen_entries():
+    # The path 11 -> 1 -> 12 through the mutated vertex makes the square
+    # textbook rule create the arrow 11 -> 12 between two frozen vertices.
+    # The kernel moves the mutable rows only, so that arrow never arises.
     q = Quiver.from_arrows([1, 2, 11, 12], [(1, 2), (11, 1), (1, 12)], frozen_pairs=[(1, 11), (2, 12)])
-    rows = [list(r) for r in q.rows()]
-    raw = _mutated_rows(rows, 0)
+    raw = mutate_matrix([list(r) for r in q.rows()], 0)
     assert raw[2][3] != 0
-    scrubbed = _mutated_rows(rows, 0, [2, 3])
-    assert scrubbed[2][3] == scrubbed[3][2] == 0
-    assert [r[:2] for r in scrubbed] == [r[:2] for r in raw]
-    assert q.mutate(1).rows() == tuple(map(tuple, scrubbed))
+    kernel = _mutated_rows(q.mutable_rows(), 0, INT_LIMIT)
+    assert [list(r) for r in kernel] == raw[:2]
+    mutated = q.mutate(1)
+    assert mutated.mutable_rows() == tuple(kernel)
+    assert mutated.rows()[2][3] == mutated.rows()[3][2] == 0
+    assert [list(r[:2]) for r in mutated.rows()] == [r[:2] for r in raw]

@@ -22,7 +22,8 @@ from redcycle import (
 
 from redcycle.cli import main
 
-from conftest import random_quiver, reference_search_reddening
+from conftest import random_quiver
+from reference import reference_search_reddening
 
 
 def rank2(a: int) -> Quiver:
