@@ -529,7 +529,7 @@ def _claim_three_torus_cycles(item: CatalogItem) -> Iterator[Check]:
     # at sequence index 49 (acceptance criterion 7e); overflowing anywhere
     # else, or not at all, would be a different walk.
     try:
-        q["Q"].trajectory(s["stated_cycle"])
+        q["Q"].mutate_seq(s["stated_cycle"])
         overflow_at = None
     except IntegerOverflowError as exc:
         overflow_at = exc.step

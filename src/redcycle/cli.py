@@ -77,6 +77,14 @@ def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _overflow_verdict(exc: IntegerOverflowError, negative: dict) -> dict:
+    """``negative`` naming the step at which a legal walk left the 64-bit
+    range; an overflow at no step (an input out of range) is malformed."""
+    if exc.step is None:
+        raise exc
+    return {**negative, "overflow_step": exc.step, "overflow": str(exc)}
+
+
 def _write_out(args: argparse.Namespace, payload: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -104,13 +112,15 @@ def _cmd_cmatrix(args) -> int:
 def _cmd_reddening_verify(args) -> int:
     q = load_quiver(args.infile)
     seq = _read_sequence(args)
-    sigma = is_maximal_green(q, seq) if args.green else is_reddening(q, seq)
     kind = "maximal green" if args.green else "reddening"
-    ok = sigma is not None
-    doc = {"kind": kind, "ok": ok, "permutation": _fmt_perm(sigma)}
-    _emit(args, doc, [f"{kind}: {'yes' if ok else 'no'}"
-                      + (f" (permutation {_fmt_perm(sigma)})" if ok else "")])
-    return 0 if ok else 1
+    try:
+        sigma = is_maximal_green(q, seq) if args.green else is_reddening(q, seq)
+        doc = {"kind": kind, "ok": sigma is not None, "permutation": _fmt_perm(sigma)}
+    except IntegerOverflowError as exc:
+        doc = _overflow_verdict(exc, {"kind": kind, "ok": False, "permutation": "none"})
+    head = f"{kind}: " + (f"yes (permutation {doc['permutation']})" if doc["ok"] else "no")
+    _emit(args, doc, [head] + [f"{k}: {doc[k]}" for k in ("overflow_step", "overflow") if k in doc])
+    return 0 if doc["ok"] else 1
 
 
 def _cmd_search(args) -> int:
@@ -168,10 +178,7 @@ def _cmd_cycle_verify(args) -> int:
     try:
         report = verify_cycle(q, seq)
     except IntegerOverflowError as exc:
-        # Every overflow in the walk names its step (an input quiver out of
-        # range fails in load_quiver): a verdict, not malformed input.
-        doc = {"length": len(seq), "closes_equal": False, "overflow_step": exc.step,
-               "overflow": str(exc)}
+        doc = _overflow_verdict(exc, {"length": len(seq), "closes_equal": False})
     else:
         doc = {
             "length": report.length,
@@ -231,9 +238,7 @@ def _cmd_distinguishing(args) -> int:
     try:
         doc = {"distinguishing": is_distinguishing(t, seq, a)}
     except IntegerOverflowError as exc:
-        if exc.step is None:  # the extension itself is out of range: malformed input
-            raise
-        doc = {"distinguishing": False, "overflow_step": exc.step, "overflow": str(exc)}
+        doc = _overflow_verdict(exc, {"distinguishing": False})
     _emit(args, doc, [f"{k}: {v}" for k, v in doc.items()])
     return 0 if doc["distinguishing"] else 1
 

@@ -137,14 +137,14 @@ def _hash(q: Quiver) -> str:
 
 
 def verify_cycle(q: Quiver, seq: Sequence[int]) -> CycleReport:
-    """Walk the trajectory of ``seq`` from ``q`` and report every cycle property."""
+    """Walk ``seq`` from ``q``, one state at a time, and report every cycle property."""
     seq = tuple(seq)
-    traj = q.trajectory(seq)
-    hashes = tuple(_hash(state) for state in traj)
-    closes_equal = traj[-1] == q
-    closes_iso = (
-        Permutation.identity() if closes_equal else find_isomorphism(q, traj[-1])
-    )
+    hashes, abundant = [], True
+    for end in q.walk(seq):
+        hashes.append(_hash(end))
+        abundant = abundant and is_abundant(end)
+    closes_equal = end == q
+    closes_iso = Permutation.identity() if closes_equal else find_isomorphism(q, end)
     reduced = is_reduced(seq)
     distinct = len(set(hashes[:-1])) == len(seq) if seq else True
     return CycleReport(
@@ -153,8 +153,8 @@ def verify_cycle(q: Quiver, seq: Sequence[int]) -> CycleReport:
         closes_equal=closes_equal,
         closes_iso=closes_iso,
         simple=reduced and closes_equal and distinct,
-        all_abundant=all(is_abundant(state) for state in traj),
-        trajectory_hashes=hashes,
+        all_abundant=abundant,
+        trajectory_hashes=tuple(hashes),
     )
 
 
@@ -262,5 +262,4 @@ def is_distinguishing(
     base = max(t.labels, default=0)
     isolated = Quiver.from_arrows(range(base + 1, base + 1 + k), [])
     ext = triangular_extension(ExtensionSpec(t, isolated, mat))
-    traj = ext.trajectory(tuple(seq))
-    return len({state.encode() for state in traj}) == len(traj)
+    return len({state.encode() for state in ext.walk(seq)}) == len(seq) + 1

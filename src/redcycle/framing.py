@@ -178,17 +178,16 @@ def c_matrix(q: Quiver, seq: Iterable[int]) -> CMatrix:
 
     Sign-coherence and the no-zero-row property are asserted at every
     intermediate step, not just at the end.  An entry of ``seq`` that is not
-    a mutable label of ``q`` raises ``UnknownVertexError``, the labels of the
-    frame included: they are internal to the walk.
+    a mutable label of ``q`` raises ``UnknownVertexError`` before the walk
+    starts, the labels of the frame included: they are internal to the walk.
     """
-    state = framed(q)
-    pos = _positions(state)
-    mutable = frozenset(pos[0])
-    c = _coherent(_read(state.mutable_rows(), pos))
+    seq = tuple(seq)
+    start = framed(q)
+    pos = _positions(start)
     for v in seq:
-        if v not in mutable:
+        if v not in pos[0]:
             raise UnknownVertexError(f"unknown vertex {v}")
-        state = state.mutate(v)
+    for state in start.walk(seq):
         c = _coherent(_read(state.mutable_rows(), pos))
     return c
 

@@ -17,7 +17,8 @@ Zelevinsky (*Cluster algebras IV: coefficients*, 2007).  The frozen rows
 are implied: no arrows join two frozen vertices, so frozen row f is minus
 column f of the mutable rows, and :meth:`Quiver.rows` builds the square
 matrix on demand.  Mutation acts on the mutable rows by one rectangular
-rule (:func:`_mutated_rows`).
+rule (:func:`_mutated_rows`).  :meth:`Quiver.walk` applies a sequence
+step by step, and numbers the step at which an overflow happens.
 
 Input is validated where it enters the library: ``Quiver(...)``,
 :meth:`Quiver.from_arrows` and the loaders in ``formats`` check labels,
@@ -32,6 +33,7 @@ on the entries it grows, as it writes them.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -362,28 +364,26 @@ class Quiver:
             ) from None
         return self._with_rows(tuple(new))
 
-    def mutate_seq(self, seq: Iterable[int]) -> "Quiver":
-        """Left-to-right fold of :meth:`mutate`."""
-        q = self
-        for v in seq:
-            q = q.mutate(v)
-        return q
-
-    def trajectory(self, seq: Sequence[int]) -> tuple["Quiver", ...]:
-        """All intermediate quivers along ``seq``; has ``len(seq) + 1`` entries.
+    def walk(self, seq: Iterable[int]) -> Iterator["Quiver"]:
+        """Yield this quiver, then the quiver after each step of ``seq``.
 
         A step that leaves the 64-bit range raises ``IntegerOverflowError``
         naming its index in ``seq``, in the message and as ``step``.
         """
-        out = [self]
+        q = self
+        yield q
         for step, v in enumerate(seq):
             try:
-                out.append(out[-1].mutate(v))
+                q = q.mutate(v)
             except IntegerOverflowError as exc:
                 err = IntegerOverflowError(f"{exc}, at sequence index {step}")
                 err.step = step
                 raise err from None
-        return tuple(out)
+            yield q
+
+    def mutate_seq(self, seq: Iterable[int]) -> "Quiver":
+        """The last state of :meth:`walk`."""
+        return deque(self.walk(seq), maxlen=1)[0]
 
     # -- structural operations ----------------------------------------
 

@@ -24,22 +24,24 @@ def is_reddening(q: Quiver, seq: Iterable[int]) -> Permutation | None:
     Every downstream construction consumes the permutation, so it is
     returned instead of a bare boolean; ``None`` encodes "not reddening".
     """
-    return c_matrix(q, tuple(seq)).reddening_permutation()
+    return c_matrix(q, seq).reddening_permutation()
 
 
 def is_maximal_green(q: Quiver, seq: Iterable[int]) -> Permutation | None:
     """The associated permutation if ``seq`` is a maximal green sequence.
 
-    Returns ``None`` as soon as a red vertex is mutated or if the final
-    state is not all red.
+    Returns ``None`` at the first step that would mutate a red vertex,
+    without taking it, or if the final state is not all red.
     """
-    state = framed(q)
-    pos = _positions(state)
-    for v in seq:
-        if _read(state.mutable_rows(), pos).row_color(v) is not Color.GREEN:
+    seq = tuple(seq)
+    start = framed(q)
+    pos = _positions(start)
+    for step, state in enumerate(start.walk(seq)):
+        c = _read(state.mutable_rows(), pos)
+        if step == len(seq):
+            return c.reddening_permutation()
+        if c.row_color(seq[step]) is not Color.GREEN:
             return None
-        state = state.mutate(v)
-    return _read(state.mutable_rows(), pos).reddening_permutation()
 
 
 def conjugate_reddening(

@@ -81,6 +81,8 @@ def search_reddening(
     # is over the limit: then no child can pass.
     start_over = any(abs(x) > weight_limit for row in rows0 for x in row)
     found: list[tuple[MutationSequence, Permutation]] = []
+    if not mutable:  # only at rank 0 is the start all red: the empty sequence is reddening
+        found.append(((), Permutation.identity()))
     overflow = 0
     # One frame per state on the current path: its rows, its sequence, its
     # key (None unless prune_revisited, and then never looked up) and the

@@ -65,22 +65,15 @@ def reference_search_reddening(
     It shares no code with the library's walk.  The framed state is the
     matrix ``[[B, I], [-I, 0]]``, stepped with :func:`mutate_matrix`, after
     which the frozen-frozen block is cleared: a framed quiver holds no
-    arrows between frozen vertices.  Colours
-    and the permutation are read straight off the C block, the top-right
-    ``n x n`` block.  Python's recursion limit bounds ``max_len`` here to
-    somewhat under 1,000.
+    arrows between frozen vertices (:func:`framed_walk` takes the same
+    steps).  Colours and the permutation are read straight off the C block,
+    the top-right ``n x n`` block; an all-red start reports the empty
+    sequence.  Python's recursion limit bounds ``max_len`` here to somewhat
+    under 1,000.
     """
     mutable = q.mutable_labels
     n = len(mutable)
-    b = q.rows()
-    rows0 = [list(b[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    rows0 += [[-int(i == j) for j in range(n)] + [0] * n for i in range(n)]
-
-    def step(rows, k):
-        child = mutate_matrix(rows, k)
-        for row in child[n:]:
-            row[n:] = [0] * n
-        return child
+    rows0 = _framed(q.rows())
 
     def green(rows, i):
         return all(x >= 0 for x in rows[i][n:])
@@ -92,9 +85,10 @@ def reference_search_reddening(
             for j in range(n)
         })
 
-    found = []
+    # An all-red start makes the empty sequence reddening.
+    found = [((), permutation(rows0))] if all(x <= 0 for row in rows0[:n] for x in row[n:]) else []
     overflow = 0
-    stop = False
+    stop = bool(found) and first_only
 
     def dfs(rows, seq, path, depth):
         nonlocal overflow, stop
@@ -106,7 +100,7 @@ def reference_search_reddening(
                 continue
             if green_only and not green(rows, i):
                 continue
-            child = step(rows, i)
+            child = _framed_step(rows, i)
             if any(abs(x) > weight_limit for row in child for x in row):
                 overflow += 1
                 continue
@@ -168,4 +162,45 @@ def first_over(rows, limit: int, frozen=frozenset()) -> tuple[int, int] | None:
         for j in range(i + 1, len(row)):
             if abs(row[j]) > limit and not (i in frozen and j in frozen):
                 return i, j
+    return None
+
+
+def _framed(b) -> list[list[int]]:
+    """The framed matrix ``[[B, I], [-I, 0]]`` of the square matrix ``b``."""
+    n = len(b)
+    rows = [list(b[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    return rows + [[-int(i == j) for j in range(n)] + [0] * n for i in range(n)]
+
+
+def _framed_step(rows, k: int) -> list[list[int]]:
+    """:func:`mutate_matrix` at ``k``, then the frozen-frozen block cleared:
+    a framed quiver holds no arrows between frozen vertices."""
+    n = len(rows) // 2
+    child = mutate_matrix(rows, k)
+    for row in child[n:]:
+        row[n:] = [0] * n
+    return child
+
+
+def framed_walk(b, seq):
+    """The framed walk of the square exchange matrix ``b`` along the indices
+    ``seq``: yields the framed matrix and its C-matrix (the top-right
+    ``n x n`` block), then both after each step.  The unframed walk of ``b``
+    is the top-left ``n x n`` block of each matrix.
+    """
+    n = len(b)
+    rows = _framed(b)
+    yield rows, [row[n:] for row in rows[:n]]
+    for k in seq:
+        rows = _framed_step(rows, k)
+        yield rows, [row[n:] for row in rows[:n]]
+
+
+def first_step_over(matrices, limit: int) -> int | None:
+    """The index, in the sequence walked, of the first step whose matrix
+    holds an entry beyond ``limit``: ``matrices`` starts with the state
+    before the first step.  None when every entry stays within it."""
+    for state, rows in enumerate(matrices):
+        if first_over(rows, limit) is not None:
+            return state - 1
     return None

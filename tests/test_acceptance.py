@@ -284,7 +284,7 @@ def test_criterion_07e_three_torus_stated_sequence():
     # seq[step] first writes an entry beyond INT_LIMIT, and raises there.
     step = next(i for i, w in enumerate(walk[1:]) if any(abs(x) > INT_LIMIT for r in w for x in r))
     ok &= step == 49
-    ok &= [[list(row) for row in s.rows()] for s in q.trajectory(seq[:step])] == walk[: step + 1]
+    ok &= [[list(row) for row in s.rows()] for s in q.walk(seq[:step])] == walk[: step + 1]
     ok &= not _overflows(q, seq[:step]) and _overflows(q, seq[: step + 1]) and _overflows(q, seq)
     _criterion("7e", "three-torus splice (S,9,11,12,10,9,11,S,12,10,9,11,12,10) does not close: "
                "S is not reddening, and the exact walk leaves 64 bits at step 49, where "
@@ -330,7 +330,7 @@ def test_criterion_09_fordy_marsh_family():
             ok &= report.closes_equal and report.simple
             ok &= report.length == 2 * k + 2
             ok &= report.all_abundant
-            ok &= all(_has_oriented_4_cycle(state) for state in q.trajectory(cycle))
+            ok &= all(_has_oriented_4_cycle(state) for state in q.walk(cycle))
     _criterion("9", "Fordy-Marsh (a,b,c) in {2,3}^3, k<=5: equality, simple, 2k+2, abundant, 4-cycles", ok)
 
 

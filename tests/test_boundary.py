@@ -111,12 +111,12 @@ def _walk(rng: random.Random, q: Quiver, steps: int) -> bool:
                 state.mutate(v)
             assert str(info.value) == message
             with pytest.raises(IntegerOverflowError) as info:
-                q.trajectory(seq)
+                tuple(q.walk(seq))
             assert str(info.value) == f"{message}, at sequence index {step}"
             return True
         state = state.mutate(v)
         _assert_same(state, want)
-    assert q.trajectory(seq)[-1] == state
+    assert tuple(q.walk(seq))[-1] == state
     return False
 
 
@@ -189,7 +189,7 @@ def test_validation_happens_only_at_the_boundary(monkeypatch, tmp_path):
     acyclic = Quiver.from_arrows([1, 2, 3], [(1, 2), (2, 3)])
     calls.clear()
     q.mutate_seq(red)
-    q.trajectory(red)
+    tuple(q.walk(red))
     c_matrix(q, red)
     is_maximal_green(q, red)
     is_maximal_green(acyclic, source)

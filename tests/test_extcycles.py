@@ -334,7 +334,7 @@ def test_cycle_rotations_and_reversal_also_close():
     item = catalog_item("two_torus_extension")
     q = item.quivers["Q"]
     seq = item.sequences["cycle"]
-    traj = q.trajectory(seq)
+    traj = tuple(q.walk(seq))
     for j in (1, 5, 12, 23):
         rotated = seq[j:] + seq[:j]
         assert verify_cycle(traj[j], rotated).closes_equal

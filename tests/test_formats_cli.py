@@ -154,6 +154,59 @@ def test_cli_distinguishing_overflowing_input_is_malformed(tmp_path, capsys, arr
     assert captured.err.startswith("error: arrow multiplicity exceeds 64-bit range")
 
 
+@pytest.mark.parametrize("green", [[], ["--green"]])
+def test_cli_reddening_verify_names_the_overflow_step(tmp_path, capsys, green):
+    # A legal walk that leaves the 64-bit range is a negative verdict
+    # (exit 1) that names the step, with or without --green: every step of
+    # 2,1,2,1,... is green here, so both walks overflow at the same step.
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"vertices": [1, 2], "arrows": [[1, 2, 3]]}))
+    argv = ["reddening-verify", "--in", str(path), "--seq", ",".join(["2,1"] * 40)] + green
+    kind = "maximal green" if green else "reddening"
+    overflow = "arrow multiplicity exceeds 64-bit range at (2, 102), at sequence index 45"
+    assert main(argv + ["--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "kind": kind, "ok": False, "permutation": "none", "overflow_step": 45, "overflow": overflow,
+    }
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == f"{kind}: no\noverflow_step: 45\noverflow: {overflow}\n"
+
+
+def test_cli_reddening_verify_names_the_three_torus_splice_overflow(tmp_path, capsys):
+    # The framed walk of the recorded splice leaves the 64-bit range at the
+    # same step as the unframed one (acceptance criterion 7e).
+    item = catalog_item("three_torus_extension")
+    path = tmp_path / "q.json"
+    path.write_text(dump_quiver(item.quivers["Q"]))
+    seq = ",".join(map(str, item.sequences["stated_cycle"]))
+    assert main(["reddening-verify", "--in", str(path), "--seq", seq, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["ok"] is False and doc["overflow_step"] == 49
+    assert doc["overflow"].endswith(", at sequence index 49")
+
+
+@pytest.mark.parametrize("command", ["cmatrix", "mutate"])
+def test_cli_overflowing_walk_without_a_verdict_is_an_error_that_names_the_step(
+    tmp_path, capsys, command
+):
+    # cmatrix and mutate give no verdict, so an overflow stays an error
+    # (exit 2), and its message names the step.
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"vertices": [1, 2, 3], "arrows": [[1, 2, 2**32], [2, 3, 2**32]]}))
+    assert main([command, "--in", str(path), "--seq", "1,1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: arrow multiplicity exceeds 64-bit range at (1, 3), at sequence index 2\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["cmatrix", "reddening-verify"])
 def test_cli_frame_label_is_an_unknown_vertex(tmp_path, capsys, command):
     path = tmp_path / "q.json"

@@ -120,7 +120,7 @@ def test_mutate_seq_telescopes():
 
 def test_trajectory_length():
     q = kprime()
-    assert len(q.trajectory((2, 3, 2))) == 4
+    assert len(tuple(q.walk((2, 3, 2)))) == 4
 
 
 def test_mutate_rejects_unknown_and_frozen():

@@ -172,5 +172,5 @@ def test_reduced_reddening_sequences_avoid_forks_on_catalog_nonforks():
     ]
     for q, seq in cases:
         assert not classify(q).is_fork
-        for state in q.trajectory(seq):
+        for state in q.walk(seq):
             assert not classify(state).is_fork

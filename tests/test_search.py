@@ -282,3 +282,26 @@ def test_search_rejects_negative_max_len():
         search_reddening(q, max_len=-1)
     result = search_reddening(q, max_len=0)
     assert len(result) == 0 and result.complete
+
+
+def test_empty_sequence_is_reported_when_the_start_is_all_red(tmp_path, capsys):
+    # Only the rank-0 start is all red, so only there is the empty sequence
+    # reddening, at every length bound and under every flag.
+    empty = Quiver.from_arrows([], [])
+    flags = ("reduced_only", "green_only", "first_only", "prune_revisited")
+    for values in itertools.product((False, True), repeat=len(flags)):
+        for max_len in (0, 1, 3):
+            kwargs = dict(zip(flags, values))
+            result = search_reddening(empty, max_len, **kwargs)
+            assert result.sequences == (((), Permutation.identity()),) and result.complete
+            assert (result.sequences, 0) == reference_search_reddening(empty, max_len, **kwargs)
+    assert len(search_reddening(Quiver.from_arrows([1], []), 0)) == 0
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": [], "arrows": []}))
+    for command in ("reddening-search", "mgs-search"):
+        argv = [command, "--in", str(path), "--max-len", "3"]
+        assert main(argv + ["--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["count"] == 1 and doc["sequences"] == [{"sequence": [], "permutation": "id"}]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "found 1 sequence(s); complete=True\n    ->  id\n"
