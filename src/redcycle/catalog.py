@@ -83,7 +83,7 @@ def fordy_marsh(a: int, b: int, c: int, k: int) -> tuple[Quiver, MutationSequenc
         [(1, 2, a), (1, 3, c), (2, 3, b), (3, 4, alpha), (4, 1, beta), (2, 4, gamma)],
     )
     sigma = Permutation.from_cycles((1, 2), (3, 4))
-    ell = tuple(2 if i % 2 == 0 else 1 for i in range(k))
+    ell = tuple([2 if i % 2 == 0 else 1 for i in range(k)])
     cycle = ell + (4,) + sigma.map_sequence(inverse_sequence(ell)) + (3,)
     return q, cycle, sigma
 
@@ -157,7 +157,7 @@ def punctured_sphere(k: int) -> tuple[Quiver, MutationSequence, Permutation]:
     q = Quiver.from_arrows(sorted(names.values()), arrows)
 
     m_ind_prime = tuple(w) + (sbar, tbar)
-    m_cycles = tuple(x for pair in zip(u, v) for x in pair)
+    m_cycles = tuple([x for pair in zip(u, v) for x in pair])
     m_ind = tuple(w) + (s, t)
     m_x = (
         tuple(v)
@@ -264,7 +264,7 @@ def _cross(arrows, rows, cols) -> tuple[tuple[int, ...], ...]:
     """The extension matrix on ``rows`` x ``cols`` of the cross arrows
     ``(row, col, multiplicity)``; every other entry is 0."""
     weight = {(row, col): m for row, col, m in arrows}
-    return tuple(tuple(weight.get((row, col), 0) for col in cols) for row in rows)
+    return tuple([tuple([weight.get((row, col), 0) for col in cols]) for row in rows])
 
 
 def _r_double_prime() -> Quiver:
@@ -473,7 +473,7 @@ def _item_two_torus(name: str) -> CatalogItem:
         quivers={"Q": _two_torus(), "t": _torus_at(0), "h": _torus_at(4)},
         sequences={
             "m_t": _TORUS_MGS,
-            "m_h": tuple(v + 4 for v in _TORUS_MGS),
+            "m_h": tuple([v + 4 for v in _TORUS_MGS]),
             "cycle": _TWO_TORUS_CYCLE,
         },
         matrices={"a": _cross([(2, 5, 1), (3, 7, 1), (4, 8, 1)], (1, 2, 3, 4), (5, 6, 7, 8))},
@@ -486,7 +486,7 @@ def _claim_two_torus_cycle(item: CatalogItem) -> Iterator[Check]:
     built_q, seq = build_cycle_general(q["t"], s["m_t"], q["h"], s["m_h"], item.matrices["a"])
     yield _check("built quiver matches figure", built_q == q["Q"])
     yield _check("built cycle matches stated 24-term sequence", seq == s["cycle"])
-    yield _check("closes with equality", verify_cycle(q["Q"], seq).closes_equal)
+    yield _check("closes with equality", q["Q"].mutate_seq(seq) == q["Q"])
 
 
 def _item_three_torus(name: str) -> CatalogItem:
@@ -497,9 +497,9 @@ def _item_three_torus(name: str) -> CatalogItem:
     # quiver interleaves the 12-term sequence, not the 24-term one.  The
     # variant splicing the 24-term cycle is recorded separately and
     # verified to diverge.
-    m_t = _TORUS_MGS + tuple(v + 4 for v in _TORUS_MGS)
+    m_t = _TORUS_MGS + tuple([v + 4 for v in _TORUS_MGS])
     pi = Permutation.from_cycles((1, 4), (2, 3), (5, 8), (6, 7))
-    m_h = tuple(v + 8 for v in _TORUS_MGS)
+    m_h = tuple([v + 8 for v in _TORUS_MGS])
     h_back = Permutation.from_cycles((9, 12), (10, 11)).map_sequence(m_h)
     t, h = _two_torus(), _torus_at(8)
     arrows = list(t.arrows()) + list(h.arrows()) + [(6, 11, 1), (6, 9, 1), (8, 11, 1)]
@@ -520,10 +520,9 @@ def _item_three_torus(name: str) -> CatalogItem:
 def _claim_three_torus_cycles(item: CatalogItem) -> Iterator[Check]:
     q, s = item.quivers, item.sequences
     built_q, seq = build_cycle_general(q["t"], s["m_t"], q["h"], s["m_h"], item.matrices["a"])
-    report = verify_cycle(q["Q"], seq)
     yield _check(
         "constructed 36-term cycle closes with equality",
-        built_q == q["Q"] and report.closes_equal and seq == s["cycle"],
+        built_q == q["Q"] and q["Q"].mutate_seq(seq) == q["Q"] and seq == s["cycle"],
     )
     # The exact-integer walk of the splice first leaves the 64-bit range
     # at sequence index 49 (acceptance criterion 7e); overflowing anywhere
@@ -649,7 +648,7 @@ def _item_banff_extension(name: str) -> CatalogItem:
             "h": h,
             "extension": triangular_extension(ExtensionSpec(t, h, _BANFF_EXT_A)),
         },
-        sequences={"m_t": _S_DOUBLE_PRIME, "m_h": tuple(v + 9 for v in _BANFF_N)},
+        sequences={"m_t": _S_DOUBLE_PRIME, "m_h": tuple([v + 9 for v in _BANFF_N])},
         matrices={"A": _BANFF_EXT_A},
         claims=(("banff_cycle",),),
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import tee
 from math import lcm
 from typing import Sequence
 
@@ -31,6 +32,7 @@ from .permutation import Permutation
 from .quiver import (
     MutationSequence,
     Quiver,
+    encodings,
     find_isomorphism,
     inverse_sequence,
     is_reduced,
@@ -42,7 +44,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def _as_matrix(a: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in a)
+    return tuple([tuple([int(x) for x in row]) for row in a])
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ def triangular_extension(spec: ExtensionSpec) -> Quiver:
 
 def cross_block(q: Quiver, t_labels: Sequence[int], h_labels: Sequence[int]) -> Matrix:
     """The T-by-H block of the exchange matrix of ``q``."""
-    return tuple(tuple(q.b(t, h) for h in h_labels) for t in t_labels)
+    return tuple([tuple([q.b(t, h) for h in h_labels]) for t in t_labels])
 
 
 def predicted_cross_block(spec: ExtensionSpec, seq: Sequence[int]) -> Matrix:
@@ -102,13 +104,13 @@ def predicted_cross_block(spec: ExtensionSpec, seq: Sequence[int]) -> Matrix:
     c = c_matrix(spec.t, tuple(seq))
     rows_t = len(spec.a)
     cols_h = len(spec.a[0]) if spec.a else 0
-    return tuple(
-        tuple(
+    return tuple([
+        tuple([
             sum(c.rows[i][k] * spec.a[k][j] for k in range(rows_t))
             for j in range(cols_h)
-        )
+        ])
         for i in range(rows_t)
-    )
+    ])
 
 
 @dataclass(frozen=True)
@@ -132,16 +134,13 @@ class CycleReport:
     trajectory_hashes: tuple[str, ...]
 
 
-def _hash(q: Quiver) -> str:
-    return hashlib.blake2b(q.encode(), digest_size=16).hexdigest()
-
-
 def verify_cycle(q: Quiver, seq: Sequence[int]) -> CycleReport:
     """Walk ``seq`` from ``q``, one state at a time, and report every cycle property."""
     seq = tuple(seq)
     hashes, abundant = [], True
-    for end in q.walk(seq):
-        hashes.append(_hash(end))
+    states, copy = tee(q.walk(seq))
+    for end, text in zip(states, encodings(copy)):
+        hashes.append(hashlib.blake2b(text, digest_size=16).hexdigest())
         abundant = abundant and is_abundant(end)
     closes_equal = end == q
     closes_iso = Permutation.identity() if closes_equal else find_isomorphism(q, end)
@@ -166,8 +165,7 @@ def _require_reddening(q: Quiver, seq: Sequence[int], side: str) -> Permutation:
 
 
 def _checked(q: Quiver, seq: MutationSequence) -> tuple[Quiver, MutationSequence]:
-    report = verify_cycle(q, seq)
-    if not report.closes_equal:
+    if q.mutate_seq(seq) != q:
         raise CycleConstructionError(
             f"constructed sequence of length {len(seq)} does not close the cycle"
         )
@@ -262,4 +260,5 @@ def is_distinguishing(
     base = max(t.labels, default=0)
     isolated = Quiver.from_arrows(range(base + 1, base + 1 + k), [])
     ext = triangular_extension(ExtensionSpec(t, isolated, mat))
-    return len({state.encode() for state in ext.walk(seq)}) == len(seq) + 1
+    # Labels are fixed along one walk, so the mutable rows tell its states apart.
+    return len({state.mutable_rows() for state in ext.walk(seq)}) == len(seq) + 1

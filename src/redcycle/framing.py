@@ -61,12 +61,12 @@ def _extend(q: Quiver, down: bool) -> Quiver:
     if q.is_framed:
         raise AlreadyFramedError("quiver already carries frozen vertices")
     offset = _frozen_offset(max(q.mutable_labels, default=0))
-    pairs = tuple((v, v + offset) for v in q.mutable_labels)
+    pairs = tuple([(v, v + offset) for v in q.mutable_labels])
     # Frozen partners sort like their vertices, so in the ascending layout
     # the frame is a signed identity block beside the mutable rows.
     e = -1 if down else 1
     n = q.rank
-    rows = tuple(row + tuple(e * (i == j) for j in range(n)) for i, row in enumerate(q.rows()))
+    rows = tuple([row + tuple([e * (i == j) for j in range(n)]) for i, row in enumerate(q.rows())])
     return Quiver._trusted(q.mutable_labels, pairs, rows)
 
 
@@ -144,22 +144,26 @@ class CMatrix:
 _Positions = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _positions(framed_state: Quiver) -> _Positions:
+def _positions(framed_state: Quiver, seq: Sequence[int] = ()) -> _Positions:
     """The mutable labels in ascending order (the i-th one's row is row i)
     and the column of each one's frozen partner.  Mutation never moves a
-    label, so the positions read off a walk's first state serve all of it."""
+    label, so the positions read off a walk's first state serve all of it;
+    an entry of the walk's ``seq`` that is not among those labels raises."""
     partner = dict(framed_state.frozen_pairs)
     mutable = framed_state.mutable_labels
     if any(v not in partner for v in mutable):
         raise NotFramedError("some mutable vertex has no frozen partner")
+    for v in seq:
+        if v not in partner:
+            raise UnknownVertexError(f"unknown vertex {v}")
     index = {v: i for i, v in enumerate(framed_state.labels)}
-    return mutable, tuple(index[partner[v]] for v in mutable)
+    return mutable, tuple([index[partner[v]] for v in mutable])
 
 
 def _read(rows: Sequence[Sequence[int]], pos: _Positions) -> CMatrix:
     """The C-matrix of the mutable ``rows`` at the positions ``pos``."""
     labels, cols = pos
-    return CMatrix(labels, tuple(tuple(row[c] for c in cols) for row in rows))
+    return CMatrix(labels, tuple([tuple([row[c] for c in cols]) for row in rows]))
 
 
 def read_c_matrix(framed_state: Quiver) -> CMatrix:
@@ -183,10 +187,7 @@ def c_matrix(q: Quiver, seq: Iterable[int]) -> CMatrix:
     """
     seq = tuple(seq)
     start = framed(q)
-    pos = _positions(start)
-    for v in seq:
-        if v not in pos[0]:
-            raise UnknownVertexError(f"unknown vertex {v}")
+    pos = _positions(start, seq)
     for state in start.walk(seq):
         c = _coherent(_read(state.mutable_rows(), pos))
     return c

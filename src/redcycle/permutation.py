@@ -49,7 +49,7 @@ class Permutation:
 
     def map_sequence(self, seq: Iterable[int]) -> tuple[int, ...]:
         """Relabel every entry of a mutation sequence."""
-        return tuple(self(v) for v in seq)
+        return tuple([self(v) for v in seq])
 
     @property
     def support(self) -> frozenset[int]:

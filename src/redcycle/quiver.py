@@ -18,7 +18,10 @@ are implied: no arrows join two frozen vertices, so frozen row f is minus
 column f of the mutable rows, and :meth:`Quiver.rows` builds the square
 matrix on demand.  Mutation acts on the mutable rows by one rectangular
 rule (:func:`_mutated_rows`).  :meth:`Quiver.walk` applies a sequence
-step by step, and numbers the step at which an overflow happens.
+step by step, and numbers the step at which an overflow happens.  A walk's
+:func:`encodings` (``encode`` is the one-state case) rewrite only changed rows.
+Tuples are built from lists: CPython's ``tuple(generator)`` resizes a 10-slot
+tuple, so the free lists of the other sizes fill with memory nothing reuses.
 
 Input is validated where it enters the library: ``Quiver(...)``,
 :meth:`Quiver.from_arrows` and the loaders in ``formats`` check labels,
@@ -139,7 +142,7 @@ class Quiver:
         frozen = tuple(sorted(f for _, f in self._frozen_pairs))
         self._labels = self._mutable + frozen
         self._index = {v: i for i, v in enumerate(self._labels)}
-        self._rows = tuple(tuple(int(x) for x in row) for row in rows)
+        self._rows = tuple([tuple([int(x) for x in row]) for row in rows])
         self._validate(frozen, self._labels if labels is None else tuple(labels))
 
     def _validate(self, frozen: tuple[int, ...], labels: tuple[int, ...]) -> None:
@@ -162,7 +165,7 @@ class Quiver:
         if labels != self._labels:
             at = {v: i for i, v in enumerate(labels)}
             idx = [at[v] for v in self._labels]
-            self._rows = tuple(tuple(self._rows[a][b] for b in idx) for a in idx)
+            self._rows = tuple([tuple([self._rows[a][b] for b in idx]) for a in idx])
             labels = self._labels
         rows = self._rows
         fro_idx = [self._index[f] for f in frozen]
@@ -225,7 +228,7 @@ class Quiver:
         pairs = tuple(sorted(frozen_pairs))
         at = {v: i for i, v in enumerate(new_labels)}
         idx = [at[v] for v in mutable + tuple(sorted(f for _, f in pairs))]
-        rows = tuple(tuple(self._rows[a][b] for b in idx) for a in idx[: len(mutable)])
+        rows = tuple([tuple([self._rows[a][b] for b in idx]) for a in idx[: len(mutable)]])
         return Quiver._trusted(mutable, pairs, rows)
 
     # -- construction -------------------------------------------------
@@ -312,7 +315,7 @@ class Quiver:
         column f of the mutable rows."""
         rows, m = self._rows, len(self._frozen_pairs)
         n = len(rows)
-        return rows + tuple(tuple(-row[f] for row in rows) + (0,) * m for f in range(n, n + m))
+        return rows + tuple([tuple([-row[f] for row in rows]) + (0,) * m for f in range(n, n + m)])
 
     def mutable_rows(self) -> tuple[tuple[int, ...], ...]:
         """The mutable rows of :meth:`rows`, which fix the quiver: the
@@ -333,10 +336,7 @@ class Quiver:
 
     def encode(self) -> bytes:
         """Exact labeled encoding: equal bytes if and only if equal quivers."""
-        head = ",".join(map(str, self._mutable))
-        frame = ";".join(f"{m}>{f}" for m, f in self._frozen_pairs)
-        body = ";".join(",".join(map(str, row)) for row in self.rows())
-        return f"{head}|{frame}|{body}".encode("ascii")
+        return next(encodings((self,)))
 
     # -- mutation ------------------------------------------------------
 
@@ -396,15 +396,15 @@ class Quiver:
         for m, f in self._frozen_pairs:
             if f in kept and m not in kept:
                 raise ValueError(f"frozen vertex {f} kept without its mutable partner {m}")
-        pairs = tuple((m, f) for m, f in self._frozen_pairs if m in kept and f in kept)
-        mutable = tuple(v for v in self._mutable if v in kept)
+        pairs = tuple([(m, f) for m, f in self._frozen_pairs if m in kept and f in kept])
+        mutable = tuple([v for v in self._mutable if v in kept])
         idx = [i for i, v in enumerate(self._labels) if v in kept]
-        rows = tuple(tuple(self._rows[a][b] for b in idx) for a in idx[: len(mutable)])
+        rows = tuple([tuple([self._rows[a][b] for b in idx]) for a in idx[: len(mutable)]])
         return Quiver._trusted(mutable, pairs, rows)
 
     def opposite(self) -> "Quiver":
         """The quiver with all arrows reversed."""
-        return self._with_rows(tuple(tuple(-x for x in row) for row in self._rows))
+        return self._with_rows(tuple([tuple([-x for x in row]) for row in self._rows]))
 
     def permuted(self, sigma: Permutation) -> "Quiver":
         """Relabel arrows along a permutation of the mutable labels.
@@ -436,20 +436,20 @@ class Quiver:
     def sources(self) -> tuple[int, ...]:
         """Mutable vertices with no incoming arrows from mutable vertices."""
         mut = [self._index[v] for v in self._mutable]
-        return tuple(
+        return tuple([
             self._labels[i]
             for i in mut
             if all(self._rows[j][i] <= 0 for j in mut)
-        )
+        ])
 
     def sinks(self) -> tuple[int, ...]:
         """Mutable vertices with no outgoing arrows to mutable vertices."""
         mut = [self._index[v] for v in self._mutable]
-        return tuple(
+        return tuple([
             self._labels[i]
             for i in mut
             if all(self._rows[i][j] <= 0 for j in mut)
-        )
+        ])
 
     # -- equality -------------------------------------------------------
 
@@ -472,6 +472,25 @@ class Quiver:
         )
         frame = f", framed({len(self._frozen_pairs)})" if self._frozen_pairs else ""
         return f"Quiver({list(self._mutable)}{frame}: {arrows or 'no arrows'})"
+
+
+def encodings(states: Iterable[Quiver]) -> Iterator[bytes]:
+    """Yield :meth:`Quiver.encode` of each of ``states``.  A mutable row's
+    text is reused when the row is the previous state's row at its index,
+    the same object, as a step of :meth:`Quiver.walk` leaves every row it
+    does not change; all other rows, frozen ones included, are written anew."""
+    last: tuple = ()
+    texts: Sequence = ()
+    for q in states:
+        rows = q._rows
+        if len(rows) != len(last):
+            last = texts = (None,) * len(rows)
+        texts = [t if r is o else ",".join(map(str, r)) for r, o, t in zip(rows, last, texts)]
+        frozen = [",".join(map(str, row)) for row in q.rows()[len(rows):]]
+        head = ",".join(map(str, q._mutable))
+        frame = ";".join(f"{m}>{f}" for m, f in q._frozen_pairs)
+        yield f"{head}|{frame}|{';'.join(texts + frozen)}".encode("ascii")
+        last = rows
 
 
 def _canonical_order(rows: Sequence[Sequence[int]], cells: list[list[int]]) -> list[int]:

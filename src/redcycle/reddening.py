@@ -31,11 +31,12 @@ def is_maximal_green(q: Quiver, seq: Iterable[int]) -> Permutation | None:
     """The associated permutation if ``seq`` is a maximal green sequence.
 
     Returns ``None`` at the first step that would mutate a red vertex,
-    without taking it, or if the final state is not all red.
+    without taking it, or if the final state is not all red.  As in
+    :func:`c_matrix`, an unknown label anywhere in ``seq`` raises first.
     """
     seq = tuple(seq)
     start = framed(q)
-    pos = _positions(start)
+    pos = _positions(start, seq)
     for step, state in enumerate(start.walk(seq)):
         c = _read(state.mutable_rows(), pos)
         if step == len(seq):

@@ -31,6 +31,16 @@ def brute_isomorphism(q1: Quiver, q2: Quiver) -> Permutation | None:
     return None
 
 
+def encode(q: Quiver) -> bytes:
+    """The labeled encoding of ``q`` written from scratch, one row of
+    ``q.rows()`` after another, frozen rows included (the text
+    ``Quiver.encode`` must produce, for one state or along a walk)."""
+    head = ",".join(map(str, q.mutable_labels))
+    frame = ";".join(f"{m}>{f}" for m, f in q.frozen_pairs)
+    body = ";".join(",".join(map(str, row)) for row in q.rows())
+    return f"{head}|{frame}|{body}".encode("ascii")
+
+
 def mutate_matrix(b: list[list[int]], k: int) -> list[list[int]]:
     """Reference mutation of a plain exchange matrix at index ``k``.
 
@@ -194,6 +204,29 @@ def framed_walk(b, seq):
     for k in seq:
         rows = _framed_step(rows, k)
         yield rows, [row[n:] for row in rows[:n]]
+
+
+def brute_reddening_sequences(q: Quiver, max_len: int, reduced: bool) -> set[tuple[int, ...]]:
+    """Every sequence of 1 to ``max_len`` mutable labels of ``q`` (with no
+    label twice in a row when ``reduced``) whose :func:`framed_walk`, taken
+    afresh for each sequence, ends with a C-matrix that has no positive
+    entry: all red."""
+    labels, rows = q.mutable_labels, q.rows()
+    hits = set()
+
+    def walk(idx):
+        if idx:
+            *_, (_, c) = framed_walk(rows, idx)
+            if all(x <= 0 for row in c for x in row):
+                hits.add(tuple(labels[i] for i in idx))
+        if len(idx) == max_len:
+            return
+        for i in range(len(labels)):
+            if not (reduced and idx and idx[-1] == i):
+                walk(idx + (i,))
+
+    walk(())
+    return hits
 
 
 def first_step_over(matrices, limit: int) -> int | None:

@@ -214,22 +214,10 @@ def test_canonical_form_agrees_with_isomorphism_search():
 
 
 def test_canonical_form_matches_brute_force_minimum():
-    from itertools import permutations
-
-    def brute(q):
-        rows = q.rows()
-        n = q.rank
-        best = None
-        for p in permutations(range(n)):
-            flat = [rows[p[i]][p[j]] for i in range(n) for j in range(n)]
-            if best is None or flat < best:
-                best = flat
-        return f"{n}|".encode() + ",".join(map(str, best)).encode()
-
     rng = random.Random(167)
     for _ in range(300):
         q = random_quiver(rng, max_n=5, max_weight=2)
-        assert canonical_form(q) == brute(q)
+        assert canonical_form(q) == brute_canonical_form(q)
 
 
 def test_canonical_form_separates_multiplicities():

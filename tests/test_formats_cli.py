@@ -217,6 +217,18 @@ def test_cli_frame_label_is_an_unknown_vertex(tmp_path, capsys, command):
     assert captured.err == "error: unknown vertex 101\n"
 
 
+@pytest.mark.parametrize("green", [[], ["--green"]])
+def test_cli_unknown_label_after_a_red_step_is_malformed_in_both_modes(tmp_path, capsys, green):
+    # Vertex 1 is red after the first step, so a green walk would stop at
+    # step 1; the label 999 is checked before any step, in both modes.
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"vertices": [1, 2], "arrows": [[1, 2]]}))
+    assert main(["reddening-verify", "--in", str(path), "--seq", "1,1,999"] + green) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown vertex 999\n"
+
+
 def test_parse_sequence():
     assert parse_sequence("2,3") == (2, 3)
     assert parse_sequence("") == ()

@@ -23,7 +23,7 @@ from redcycle import (
 from redcycle.cli import main
 
 from conftest import random_quiver
-from reference import reference_search_reddening
+from reference import brute_reddening_sequences, reference_search_reddening
 
 
 def rank2(a: int) -> Quiver:
@@ -125,24 +125,6 @@ def test_weight_guardrail_counts_aborted_branches():
 
 
 def test_search_matches_brute_force_enumeration():
-    from redcycle import c_matrix
-
-    def brute(q, max_len, reduced):
-        hits = set()
-
-        def walk(seq):
-            if seq and c_matrix(q, seq).all_red():
-                hits.add(seq)
-            if len(seq) == max_len:
-                return
-            for v in q.mutable_labels:
-                if reduced and seq and seq[-1] == v:
-                    continue
-                walk(seq + (v,))
-
-        walk(())
-        return hits
-
     rng = random.Random(179)
     for _ in range(25):
         q = random_quiver(rng, max_n=3, max_weight=2)
@@ -153,7 +135,7 @@ def test_search_matches_brute_force_enumeration():
                 q, max_len=max_len, reduced_only=reduced, weight_limit=10**50
             )
         }
-        assert mine == brute(q, max_len, reduced)
+        assert mine == brute_reddening_sequences(q, max_len, reduced)
 
 
 def test_search_matches_recursive_reference():
