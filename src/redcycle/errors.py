@@ -91,3 +91,7 @@ class FormatError(RedcycleError):
 
 class OutOfRangeError(RedcycleError, ValueError):
     """A length bound or node budget outside its legal range."""
+
+
+class ShapeError(RedcycleError, ValueError):
+    """A matrix argument does not have the shape its use requires."""

@@ -14,6 +14,7 @@ cycle fails to close is raised as an error, never returned silently.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from itertools import tee
 from math import lcm
@@ -21,11 +22,13 @@ from typing import Sequence
 
 from .classify import is_abundant
 from .errors import (
+    AlreadyFramedError,
     CycleConstructionError,
     LabelCollisionError,
     NegativeEntryError,
     NonIdentityPermutationError,
     NotReddeningError,
+    ShapeError,
 )
 from .framing import c_matrix
 from .permutation import Permutation
@@ -44,7 +47,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def _as_matrix(a: Sequence[Sequence[int]]) -> Matrix:
-    return tuple([tuple([int(x) for x in row]) for row in a])
+    return tuple([tuple([operator.index(x) for x in row]) for row in a])
 
 
 @dataclass(frozen=True)
@@ -65,15 +68,16 @@ class ExtensionSpec:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "a", _as_matrix(a))
         if t.is_framed or h.is_framed:
-            raise ValueError("extension factors must be unframed")
+            raise AlreadyFramedError("extension factors must be unframed")
         shared = set(t.labels) & set(h.labels)
         if shared:
             raise LabelCollisionError(f"label sets overlap: {sorted(shared)}")
-        if len(self.a) != t.rank or any(len(row) != h.rank for row in self.a):
-            raise ValueError(
-                f"extension matrix must be {t.rank}x{h.rank}, got "
-                f"{len(self.a)}x{len(self.a[0]) if self.a else 0}"
-            )
+        shape = f"extension matrix must be {t.rank}x{h.rank}"
+        if len(self.a) != t.rank:
+            raise ShapeError(f"{shape}: {len(self.a)} row(s) given")
+        for i, row in enumerate(self.a, 1):
+            if len(row) != h.rank:
+                raise ShapeError(f"{shape}: row {i} has length {len(row)}")
         if any(x < 0 for row in self.a for x in row):
             raise NegativeEntryError("extension matrix entries must be >= 0")
 

@@ -8,18 +8,18 @@ C-matrix is a theorem, so a violation is always raised as a hard error.
 
 A framed state is the n mutable rows over the n + m columns of its
 labels, mutable then frozen (:meth:`Quiver.mutable_rows`); the frozen rows
-are implied, each minus a column of those rows.  The C-matrix is the
-mutable-by-frozen block of them, so every reading here takes only those n
-rows.  This module is the only reader of framed states: every C-matrix,
-vertex color and reddening verdict (``CMatrix.reddening_permutation``) in
-the package comes from here, the search's raw-row walk included.
+are implied, each minus a column of those rows.  From ``framed(q)`` on, the
+i-th mutable label's partner is column n + i, so the C-matrix is the right
+half of the rows, which one generator yields per step and the search slices
+alike; :func:`read_c_matrix` reads any framed state, crossed pairings too.
+Every color and reddening verdict in the package comes from here.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AlreadyFramedError,
@@ -141,40 +141,30 @@ class CMatrix:
         return sigma
 
 
-_Positions = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _positions(framed_state: Quiver, seq: Sequence[int] = ()) -> _Positions:
-    """The mutable labels in ascending order (the i-th one's row is row i)
-    and the column of each one's frozen partner.  Mutation never moves a
-    label, so the positions read off a walk's first state serve all of it;
-    an entry of the walk's ``seq`` that is not among those labels raises."""
+def read_c_matrix(framed_state: Quiver) -> CMatrix:
+    """Read the mutable-by-frozen block out of any framed (and mutated)
+    quiver, its pairings crossed or not."""
     partner = dict(framed_state.frozen_pairs)
     mutable = framed_state.mutable_labels
     if any(v not in partner for v in mutable):
         raise NotFramedError("some mutable vertex has no frozen partner")
+    b = framed_state.b
+    return CMatrix(mutable, tuple([tuple([b(v, partner[w]) for w in mutable]) for v in mutable]))
+
+
+def _c_walk(q: Quiver, seq: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
+    """The C-matrix rows of each state of ``framed(q).walk(seq)``: the right
+    half of its mutable rows, since the i-th mutable label's partner sits in
+    column n + i.  An entry of ``seq`` that is not a mutable label of ``q``
+    raises before the walk starts, after ``framed`` has checked ``q``."""
+    start = framed(q)
+    known = set(q.mutable_labels)
     for v in seq:
-        if v not in partner:
+        if v not in known:
             raise UnknownVertexError(f"unknown vertex {v}")
-    index = {v: i for i, v in enumerate(framed_state.labels)}
-    return mutable, tuple([index[partner[v]] for v in mutable])
-
-
-def _read(rows: Sequence[Sequence[int]], pos: _Positions) -> CMatrix:
-    """The C-matrix of the mutable ``rows`` at the positions ``pos``."""
-    labels, cols = pos
-    return CMatrix(labels, tuple([tuple([row[c] for c in cols]) for row in rows]))
-
-
-def read_c_matrix(framed_state: Quiver) -> CMatrix:
-    """Read the mutable-by-frozen block out of a framed (and mutated) quiver."""
-    return _read(framed_state.mutable_rows(), _positions(framed_state))
-
-
-def _coherent(c: CMatrix) -> CMatrix:
-    for v, row in zip(c.labels, c.rows):
-        _color(row, v)  # raises on a mixed-sign or zero row
-    return c
+    n = q.rank
+    for state in start.walk(seq):
+        yield [row[n:] for row in state.mutable_rows()]
 
 
 def c_matrix(q: Quiver, seq: Iterable[int]) -> CMatrix:
@@ -185,12 +175,10 @@ def c_matrix(q: Quiver, seq: Iterable[int]) -> CMatrix:
     a mutable label of ``q`` raises ``UnknownVertexError`` before the walk
     starts, the labels of the frame included: they are internal to the walk.
     """
-    seq = tuple(seq)
-    start = framed(q)
-    pos = _positions(start, seq)
-    for state in start.walk(seq):
-        c = _coherent(_read(state.mutable_rows(), pos))
-    return c
+    for rows in _c_walk(q, tuple(seq)):
+        for v, row in zip(q.mutable_labels, rows):
+            _color(row, v)  # raises on a mixed-sign or zero row
+    return CMatrix(q.mutable_labels, tuple(rows))
 
 
 def vertex_color(framed_state: Quiver, v: int) -> Color:

@@ -36,6 +36,7 @@ on the entries it grows, as it writes them.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -142,7 +143,7 @@ class Quiver:
         frozen = tuple(sorted(f for _, f in self._frozen_pairs))
         self._labels = self._mutable + frozen
         self._index = {v: i for i, v in enumerate(self._labels)}
-        self._rows = tuple([tuple([int(x) for x in row]) for row in rows])
+        self._rows = tuple([tuple([operator.index(x) for x in row]) for row in rows])
         self._validate(frozen, self._labels if labels is None else tuple(labels))
 
     def _validate(self, frozen: tuple[int, ...], labels: tuple[int, ...]) -> None:

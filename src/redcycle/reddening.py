@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .classify import _source_order
 from .errors import CyclicQuiverError
-from .framing import Color, _positions, _read, c_matrix, framed
+from .framing import CMatrix, Color, _c_walk, _color, c_matrix
 from .permutation import Permutation
 from .quiver import MutationSequence, Quiver, inverse_sequence, reduce_sequence
 
@@ -35,14 +35,11 @@ def is_maximal_green(q: Quiver, seq: Iterable[int]) -> Permutation | None:
     :func:`c_matrix`, an unknown label anywhere in ``seq`` raises first.
     """
     seq = tuple(seq)
-    start = framed(q)
-    pos = _positions(start, seq)
-    for step, state in enumerate(start.walk(seq)):
-        c = _read(state.mutable_rows(), pos)
-        if step == len(seq):
-            return c.reddening_permutation()
-        if c.row_color(seq[step]) is not Color.GREEN:
+    walk = _c_walk(q, seq)
+    for v, rows in zip(seq, walk):  # the state before step v
+        if _color(rows[q.mutable_labels.index(v)], v) is not Color.GREEN:
             return None
+    return CMatrix(q.mutable_labels, tuple(next(walk))).reddening_permutation()
 
 
 def conjugate_reddening(

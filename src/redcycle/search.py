@@ -3,12 +3,12 @@
 The reddening search walks framed states depth-first in ascending vertex
 order, so results are deterministic and come out in lexicographic order.
 Each state is the n mutable rows over the 2n columns of the framed quiver;
-the frozen rows are implied, and the C-matrix is the right half of the
-rows.  Branches whose arrow weights pass a guardrail are aborted and
-counted rather than silently dropped: the mutation kernel checks the
-entries it grows as it writes them and raises at the first one over the
-guardrail, and that raise is one cut.  A search is *complete* within its
-length bound exactly when no branch was aborted.
+the frozen rows are implied, and the C-matrix is the right half of the rows
+(``row[n:]``), made a ``CMatrix`` only for a sequence found.  A branch whose
+weights pass a guardrail is aborted and counted, not silently dropped: the
+mutation kernel checks each entry it grows as it writes it and raises at the
+first one over the guardrail, and that raise is one cut.  A search is
+*complete* within its length bound exactly when no branch was aborted.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .classify import explore
 from .errors import OutOfRangeError
-from .framing import Color, _color, _positions, _read, framed
+from .framing import CMatrix, Color, _color, framed
 from .permutation import Permutation
 from .quiver import MutationSequence, Quiver, _mutated_rows
 
@@ -74,7 +74,9 @@ def search_reddening(
     if max_len < 0:
         raise OutOfRangeError(f"max_len must be >= 0, got {max_len}")
     start = framed(q)
-    mutable, cols = pos = _positions(start)
+    mutable = start.mutable_labels
+    n = len(mutable)
+    cols = tuple(range(n, 2 * n))  # the frame's columns, where C sits
     rows0 = start.mutable_rows()
     # A child passes the guardrail when the entries its mutation grew do
     # (every other |entry| is its parent's), unless the start state itself
@@ -96,7 +98,7 @@ def search_reddening(
         for i, v in untried:
             if reduced_only and seq and v == seq[-1]:
                 continue
-            if green_only and _color([rows[i][c] for c in cols], v) is not Color.GREEN:
+            if green_only and _color(rows[i][n:], v) is not Color.GREEN:
                 continue
             if start_over:
                 overflow += 1
@@ -110,8 +112,9 @@ def search_reddening(
             if prune_revisited and child_key in path:
                 continue
             child_seq = seq + (v,)
-            if all(row[c] <= 0 for row in child for c in cols):
-                found.append((child_seq, _read(child, pos).reddening_permutation()))
+            if all(row[c] <= 0 for row in child for c in cols):  # all red
+                red = CMatrix(mutable, tuple([row[n:] for row in child]))
+                found.append((child_seq, red.reddening_permutation()))
                 if first_only:
                     return SearchResult(sequences=tuple(found), overflow_branches=overflow)
             if len(child_seq) < max_len:

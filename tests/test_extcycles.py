@@ -1,6 +1,7 @@
 """Triangular extensions, cycle constructions, and verification."""
 
 import random
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from redcycle import (
     c_matrix,
     cross_block,
     dreaded_torus,
+    framed,
     is_distinguishing,
     is_reddening,
     catalog_item,
@@ -23,12 +25,14 @@ from redcycle import (
     verify_cycle,
 )
 from redcycle.errors import (
+    AlreadyFramedError,
     CyclicQuiverError,
     IntegerOverflowError,
     LabelCollisionError,
     NegativeEntryError,
     NonIdentityPermutationError,
     NotReddeningError,
+    RedcycleError,
 )
 
 from conftest import random_abundant_acyclic, random_sequence
@@ -68,6 +72,30 @@ def test_extension_spec_validation():
         ExtensionSpec(t, Quiver.from_arrows([5, 6], [(5, 6)]), ((0, -1), (0, 0)))
     with pytest.raises(ValueError):
         ExtensionSpec(t, Quiver.from_arrows([5, 6], [(5, 6)]), ((0, 0),))
+
+
+def test_extension_spec_errors_are_library_errors():
+    t, h = Quiver.from_arrows([1, 2], [(1, 2)]), Quiver.from_arrows([5, 6], [(5, 6)])
+    with pytest.raises(AlreadyFramedError):
+        ExtensionSpec(framed(t), h, ((0, 0), (0, 0)))
+    with pytest.raises(AlreadyFramedError):
+        ExtensionSpec(t, framed(h), ((0, 0), (0, 0)))
+    # A wrong shape is a ValueError and a RedcycleError, and its message
+    # names what is wrong rather than the shape that was wanted twice.
+    for a, message in [
+        ((), "extension matrix must be 2x2: 0 row(s) given"),
+        (((1, 2), (1,)), "extension matrix must be 2x2: row 2 has length 1"),
+        (((1,), (1, 2)), "extension matrix must be 2x2: row 1 has length 1"),
+    ]:
+        with pytest.raises(RedcycleError, match=rf"^{re.escape(message)}$") as info:
+            ExtensionSpec(t, h, a)
+        assert isinstance(info.value, ValueError)
+
+
+def test_extension_matrix_entries_must_be_integers():
+    t, h = Quiver.from_arrows([1], []), Quiver.from_arrows([5], [])
+    with pytest.raises(TypeError):
+        ExtensionSpec(t, h, ((1.9,),))
 
 
 def test_predicted_cross_block_empty_sequence_is_a():

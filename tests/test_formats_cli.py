@@ -10,6 +10,7 @@ from redcycle.cli import main
 from redcycle.errors import FormatError
 from redcycle.formats import (
     dump_quiver,
+    parse_matrix,
     parse_sequence,
     quiver_from_dict,
     quiver_to_dict,
@@ -227,6 +228,76 @@ def test_cli_unknown_label_after_a_red_step_is_malformed_in_both_modes(tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: unknown vertex 999\n"
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _assert_one_error_line(capsys, message):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"  # one line, no traceback
+
+
+@pytest.mark.parametrize("a, message", [
+    ("[[1,2],[1]]", "extension matrix must be 2x2: row 2 has length 1"),
+    ("[]", "extension matrix must be 2x0: 0 row(s) given"),
+])
+def test_cli_distinguishing_bad_extension_matrix_is_malformed(tmp_path, capsys, a, message):
+    a2 = _write(tmp_path, "a2.json", {"vertices": [1, 2], "arrows": [[1, 2]]})
+    assert main(["distinguishing", "--in", a2, "--seq", "1", "--a", a]) == 2
+    _assert_one_error_line(capsys, message)
+
+
+def test_cli_distinguishing_framed_factor_is_malformed(tmp_path, capsys):
+    doc = quiver_to_dict(framed(Quiver.from_arrows([1, 2], [(1, 2)])))
+    path = _write(tmp_path, "framed.json", doc)
+    assert main(["distinguishing", "--in", path, "--seq", "1", "--a", "[[1],[1]]"]) == 2
+    _assert_one_error_line(capsys, "extension factors must be unframed")
+
+
+@pytest.mark.parametrize("a, message", [
+    ("[[1]]", "extension matrix must be 2x2: 1 row(s) given"),
+    ("[[1,1],[1]]", "extension matrix must be 2x2: row 2 has length 1"),
+])
+def test_cli_cycle_build_bad_extension_matrix_is_malformed(tmp_path, capsys, a, message):
+    t = _write(tmp_path, "t.json", {"vertices": [1, 2], "arrows": [[1, 2]]})
+    h = _write(tmp_path, "h.json", {"vertices": [3, 4], "arrows": [[3, 4]]})
+    argv = ["cycle-build", "equal", "--t", t, "--h", h, "--mt", "1,2", "--mh", "3,4", "--a", a]
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, message)
+
+
+@pytest.mark.parametrize("doc", [
+    {"vertices": [1, 2.9], "arrows": [[1, 2]]},
+    {"vertices": [1, 2], "arrows": [[1, 2, 1.7]]},
+    {"labels": [1, 2], "b_matrix": [[0, 1.5], [-1.5, 0]]},
+    {"vertices": [1, 2, 11], "arrows": [[1, 11]], "frozen": [[1, 11.0]]},
+])
+def test_non_integer_numbers_in_a_quiver_are_malformed(tmp_path, capsys, doc):
+    # int() would truncate these to a different quiver and exit 0.
+    with pytest.raises(FormatError):
+        quiver_from_dict(doc)
+    assert main(["classify", "--in", _write(tmp_path, "q.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_non_integer_extension_matrix_is_malformed(tmp_path, capsys):
+    with pytest.raises(FormatError):
+        parse_matrix([[1.9], [0.5]])
+    a2 = _write(tmp_path, "a2.json", {"vertices": [1, 2], "arrows": [[1, 2]]})
+    assert main(["distinguishing", "--in", a2, "--seq", "1", "--a", "[[1.9],[0.5]]"]) == 2
+    _assert_one_error_line(capsys, "bad matrix: 'float' object cannot be interpreted as an integer")
+
+
+def test_non_integer_exchange_matrix_is_refused():
+    with pytest.raises(TypeError):
+        Quiver([1, 2], [[0, 1.5], [-1.5, 0]])
 
 
 def test_parse_sequence():

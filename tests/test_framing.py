@@ -243,3 +243,38 @@ def test_frame_labels_are_unknown_vertices_of_the_walk():
     for verdict in (c_matrix, is_reddening, is_maximal_green):
         with pytest.raises(UnknownVertexError, match="^unknown vertex 101$"):
             verdict(q, (1, 101))
+
+
+def _random_labeled_quiver(rng, n):
+    """A random quiver of rank ``n`` whose labels often sit on both sides of
+    a power of ten (9 and 10, 99 and 100), where the frame offset changes."""
+    pool = rng.choice([range(1, 20), (8, 9, 10, 11, 3, 5, 7, 1), (98, 99, 100, 101, 2, 4, 6, 50)])
+    labels = sorted(rng.sample(list(pool), n))
+    arrows = []
+    for i, u in enumerate(labels):
+        for v in labels[i + 1:]:
+            w = rng.randint(-3, 3)
+            if w:
+                arrows.append((u, v, w) if w > 0 else (v, u, -w))
+    return Quiver.from_arrows(labels, arrows)
+
+
+def test_frame_block_is_the_right_half_of_the_mutable_rows():
+    # The per-step C reader takes C as row[n:] of each framed state's
+    # mutable rows; the general reader, which looks up each partner, must
+    # agree on every state of a framed or coframed walk.
+    rng = random.Random(1414)
+    for _ in range(150):
+        q = _random_labeled_quiver(rng, rng.randint(0, 8))
+        seq = tuple(rng.choice(q.mutable_labels) for _ in range(rng.randint(0, 8) if q.rank else 0))
+        n = q.rank
+        for start in (framed(q), coframed(q)):
+            for state in start.walk(seq):
+                assert read_c_matrix(state).rows == tuple(row[n:] for row in state.mutable_rows())
+        assert c_matrix(q, seq) == read_c_matrix(framed(q).mutate_seq(seq))
+
+
+def test_framed_base_is_refused_before_its_labels_are_checked():
+    for verdict in (c_matrix, is_reddening, is_maximal_green):
+        with pytest.raises(AlreadyFramedError):
+            verdict(framed(path3()), (1, 999))
