@@ -14,30 +14,14 @@ arrows of unequal weight, so requiring equal multiplicities would reject it.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import AlreadyFramedError, ForkStartError, FormatError, OutOfRangeError
+from .errors import AlreadyFramedError, ForkStartError, OutOfRangeError
 from .quiver import Quiver, _canonical_order
 
-#: Default node budget for bounded explorations; REDCYCLE_BUDGET overrides.
+#: Default node budget for bounded explorations.
 DEFAULT_BUDGET = 100_000
-
-
-def default_budget() -> int:
-    """REDCYCLE_BUDGET when set, else DEFAULT_BUDGET; FormatError unless the
-    variable holds a positive integer."""
-    env = os.environ.get("REDCYCLE_BUDGET")
-    if not env:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(env)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise FormatError(f"REDCYCLE_BUDGET must be a positive integer, got {env!r}")
-    return budget
 
 
 @dataclass(frozen=True)
@@ -193,7 +177,7 @@ def canonical_form(q: Quiver) -> bytes:
 
 def explore(
     q: Quiver,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_BUDGET,
     keep: Callable[[bytes, Quiver], bool] | None = None,
 ) -> tuple[dict[bytes, Quiver], bool]:
     """Breadth-first walk of the mutation class of ``q`` up to isomorphism.
@@ -209,16 +193,15 @@ def explore(
     looked at again, which is sound because ``keep`` must be an isomorphism
     invariant (fork, pre-fork and key status are).
     """
-    budget = default_budget() if node_budget is None else node_budget
-    if budget < 1:
-        raise OutOfRangeError(f"node budget must be >= 1, got {budget}")
+    if node_budget < 1:
+        raise OutOfRangeError(f"node budget must be >= 1, got {node_budget}")
     start = canonical_form(q)
     forms: dict[bytes, Quiver] = {start: q}
     rejected: set[bytes] = set()
     # Each entry carries the vertex it was reached by: mutating there again
     # gives back the parent, whose form is already known.
     level: dict[bytes, tuple[Quiver, int | None]] = {start: (q, None)}
-    while level and len(forms) < budget:
+    while level and len(forms) < node_budget:
         next_level: dict[bytes, tuple[Quiver, int | None]] = {}
         for _, (rep, via) in sorted(level.items()):
             for v in rep.mutable_labels:
@@ -233,10 +216,10 @@ def explore(
                     continue
                 forms[form] = neighbor
                 next_level[form] = (neighbor, v)
-                if len(forms) >= budget:
+                if len(forms) >= node_budget:
                     return forms, False
         level = next_level
-    return forms, len(forms) < budget
+    return forms, len(forms) < node_budget
 
 
 @dataclass(frozen=True)
@@ -255,7 +238,7 @@ class ForklessReport:
 
 
 def forkless_explore(
-    q: Quiver, node_budget: int | None = None, discard_preforks: bool = False
+    q: Quiver, node_budget: int = DEFAULT_BUDGET, discard_preforks: bool = False
 ) -> ForklessReport:
     """Breadth-first search of the forkless part, deduplicating by canonical
     form and discarding forks as they appear (see :func:`explore`).

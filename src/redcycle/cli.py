@@ -4,6 +4,12 @@ Exit codes: 0 on success, 1 when a verification fails (a sequence is not
 reddening, a cycle does not close, a catalog check fails), 2 on malformed
 input, 141 (128 + SIGPIPE) when the reader closes the output pipe early.
 ``--json`` switches every report to a stable JSON document.
+
+Every ``_cmd_*`` handler computes and returns a :data:`Report`, ``(status,
+doc, lines)``: its exit status, its ``--json`` document and its text lines.
+``mutate`` and ``export-dot`` write a file instead: their ``doc`` is None
+and ``lines`` is the file's text.  :func:`main` alone writes, to stdout or
+``--out``, and maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -12,10 +18,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Sequence
+from typing import Callable, Sequence
 
 from . import catalog
-from .classify import classify, forkless_explore
+from .classify import DEFAULT_BUDGET, classify, forkless_explore
 from .errors import (
     CycleConstructionError,
     FormatError,
@@ -45,6 +51,10 @@ from .quiver import reduce_sequence
 from .reddening import is_maximal_green, is_reddening
 from .search import enumerate_class, search_reddening
 
+#: A handler's exit status, ``--json`` document and text lines; a None
+#: document means the third item is a file's text.
+Report = tuple[int, dict | None, list[str] | str]
+
 
 def _fmt_perm(sigma: Permutation | None) -> str:
     if sigma is None:
@@ -69,130 +79,89 @@ def _load_matrix(arg: str) -> tuple[tuple[int, ...], ...]:
         raise FormatError(f"bad extension matrix {arg!r}: {exc}") from None
 
 
-def _emit(args: argparse.Namespace, doc: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _overflow_verdict(exc: IntegerOverflowError, negative: dict) -> dict:
-    """``negative`` naming the step at which a legal walk left the 64-bit
-    range; an overflow at no step (an input out of range) is malformed."""
-    if exc.step is None:
-        raise exc
-    return {**negative, "overflow_step": exc.step, "overflow": str(exc)}
-
-
-def _write_out(args: argparse.Namespace, payload: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+def _verdict(compute: Callable[[], dict], negative: dict) -> dict:
+    """``compute()``, or else ``negative`` naming the step at which a legal
+    walk left the 64-bit range; an overflow at no step (an input out of
+    range) is malformed and propagates."""
+    try:
+        return compute()
+    except IntegerOverflowError as exc:
+        if exc.step is None:
+            raise
+        return {**negative, "overflow_step": exc.step, "overflow": str(exc)}
 
 
 # -- command handlers -------------------------------------------------------
 
-def _cmd_mutate(args) -> int:
+def _cmd_mutate(args) -> Report:
     q = load_quiver(args.infile)
-    _write_out(args, dump_quiver(q.mutate_seq(_read_sequence(args))))
-    return 0
+    return 0, None, dump_quiver(q.mutate_seq(_read_sequence(args)))
 
 
-def _cmd_cmatrix(args) -> int:
-    q = load_quiver(args.infile)
-    c = c_matrix(q, _read_sequence(args))
+def _cmd_cmatrix(args) -> Report:
+    c = c_matrix(load_quiver(args.infile), _read_sequence(args))
     doc = {"labels": list(c.labels), "rows": [list(r) for r in c.rows]}
-    _emit(args, doc, [f"labels: {list(c.labels)}"] + [str(list(r)) for r in c.rows])
-    return 0
+    return 0, doc, [f"labels: {list(c.labels)}"] + [str(list(r)) for r in c.rows]
 
 
-def _cmd_reddening_verify(args) -> int:
-    q = load_quiver(args.infile)
-    seq = _read_sequence(args)
+def _cmd_reddening_verify(args) -> Report:
+    q, seq = load_quiver(args.infile), _read_sequence(args)
     kind = "maximal green" if args.green else "reddening"
-    try:
-        sigma = is_maximal_green(q, seq) if args.green else is_reddening(q, seq)
-        doc = {"kind": kind, "ok": sigma is not None, "permutation": _fmt_perm(sigma)}
-    except IntegerOverflowError as exc:
-        doc = _overflow_verdict(exc, {"kind": kind, "ok": False, "permutation": "none"})
+    check = is_maximal_green if args.green else is_reddening
+
+    def report(sigma: Permutation | None) -> dict:
+        return {"kind": kind, "ok": sigma is not None, "permutation": _fmt_perm(sigma)}
+
+    doc = _verdict(lambda: report(check(q, seq)), report(None))
     head = f"{kind}: " + (f"yes (permutation {doc['permutation']})" if doc["ok"] else "no")
-    _emit(args, doc, [head] + [f"{k}: {doc[k]}" for k in ("overflow_step", "overflow") if k in doc])
-    return 0 if doc["ok"] else 1
+    tail = [f"{k}: {doc[k]}" for k in ("overflow_step", "overflow") if k in doc]
+    return (0 if doc["ok"] else 1), doc, [head] + tail
 
 
-def _cmd_search(args) -> int:
-    q = load_quiver(args.infile)
+def _cmd_search(args) -> Report:
     result = search_reddening(
-        q,
-        max_len=args.max_len,
-        reduced_only=args.reduced,
-        green_only=args.green_only,
-        first_only=args.first,
-        prune_revisited=args.prune_revisited,
+        load_quiver(args.infile), max_len=args.max_len, reduced_only=args.reduced,
+        green_only=args.green_only, first_only=args.first, prune_revisited=args.prune_revisited,
     )
     doc = {
         "count": len(result),
         "complete": result.complete,
         "overflow_branches": result.overflow_branches,
-        "sequences": [
-            {"sequence": list(s), "permutation": _fmt_perm(p)} for s, p in result
-        ],
+        "sequences": [{"sequence": list(s), "permutation": _fmt_perm(p)} for s, p in result],
     }
     lines = [f"found {len(result)} sequence(s); complete={result.complete}"]
     lines += [f"  {','.join(map(str, s))}  ->  {_fmt_perm(p)}" for s, p in result]
-    _emit(args, doc, lines)
-    return 0
+    return 0, doc, lines
 
 
-def _cmd_cycle_build(args) -> int:
-    t = load_quiver(args.t)
-    h = load_quiver(args.h)
-    a = _load_matrix(args.a)
-    if args.mode == "equal":
-        q, seq = build_cycle_equal(t, parse_sequence(args.mt), h, parse_sequence(args.mh), a)
-    elif args.mode == "general":
-        q, seq = build_cycle_general(t, parse_sequence(args.mt), h, parse_sequence(args.mh), a)
-    else:
+def _cmd_cycle_build(args) -> Report:
+    t, h, a = load_quiver(args.t), load_quiver(args.h), _load_matrix(args.a)
+    if args.mode == "acyclic":
         q, seq = build_acyclic_cycle(t, parse_sequence(args.m), h, parse_sequence(args.n), a)
-    report = verify_cycle(q, seq)
-    doc = {
-        "quiver": quiver_to_dict(q),
-        "sequence": list(seq),
-        "length": report.length,
-        "simple": report.simple,
-        "closes_equal": report.closes_equal,
-    }
-    _emit(args, doc, [
-        f"cycle of length {report.length} (simple={report.simple})",
-        "sequence: " + ",".join(map(str, seq)),
-    ])
-    return 0
-
-
-def _cmd_cycle_verify(args) -> int:
-    q = load_quiver(args.infile)
-    seq = _read_sequence(args)
-    try:
-        report = verify_cycle(q, seq)
-    except IntegerOverflowError as exc:
-        doc = _overflow_verdict(exc, {"length": len(seq), "closes_equal": False})
     else:
-        doc = {
-            "length": report.length,
-            "is_reduced": report.is_reduced,
-            "closes_equal": report.closes_equal,
-            "closes_iso": _fmt_perm(report.closes_iso),
-            "simple": report.simple,
-            "all_abundant": report.all_abundant,
-        }
-    _emit(args, doc, [f"{k}: {v}" for k, v in doc.items()])
-    return 0 if doc["closes_equal"] else 1
+        build = build_cycle_equal if args.mode == "equal" else build_cycle_general
+        q, seq = build(t, parse_sequence(args.mt), h, parse_sequence(args.mh), a)
+    r = verify_cycle(q, seq)
+    doc = {"quiver": quiver_to_dict(q), "sequence": list(seq), "length": r.length,
+           "simple": r.simple, "closes_equal": r.closes_equal}
+    seq_text = ",".join(map(str, seq))
+    return 0, doc, [f"cycle of length {r.length} (simple={r.simple})", f"sequence: {seq_text}"]
 
 
-def _cmd_classify(args) -> int:
+def _cmd_cycle_verify(args) -> Report:
+    q, seq = load_quiver(args.infile), _read_sequence(args)
+
+    def report() -> dict:
+        r = verify_cycle(q, seq)
+        return {"length": r.length, "is_reduced": r.is_reduced, "closes_equal": r.closes_equal,
+                "closes_iso": _fmt_perm(r.closes_iso), "simple": r.simple,
+                "all_abundant": r.all_abundant}
+
+    doc = _verdict(report, {"length": len(seq), "closes_equal": False})
+    return (0 if doc["closes_equal"] else 1), doc, [f"{k}: {v}" for k, v in doc.items()]
+
+
+def _cmd_classify(args) -> Report:
     report = classify(load_quiver(args.infile))
     doc = {
         "acyclic": report.acyclic,
@@ -201,53 +170,35 @@ def _cmd_classify(args) -> int:
         "key_pairs": [[list(p), w] for p, w in report.key_pairs],
         "prefork_pairs": [[list(p), r] for p, r in report.prefork_pairs],
     }
-    _emit(args, doc, [f"{k}: {v}" for k, v in doc.items()])
-    return 0
+    return 0, doc, [f"{k}: {v}" for k, v in doc.items()]
 
 
-def _cmd_forkless(args) -> int:
-    q = load_quiver(args.infile)
-    report = forkless_explore(q, args.budget)
-    doc = {
-        "forms": len(report.forms),
-        "keys": len(report.key_forms),
-        "exhausted": report.exhausted,
-    }
-    _emit(args, doc, [
-        f"non-fork canonical forms: {len(report.forms)}",
-        f"keys among them: {len(report.key_forms)}",
-        f"exhausted: {report.exhausted}",
-    ])
-    return 0
+def _cmd_forkless(args) -> Report:
+    report = forkless_explore(load_quiver(args.infile), args.budget)
+    forms, keys, exhausted = len(report.forms), len(report.key_forms), report.exhausted
+    doc = {"forms": forms, "keys": keys, "exhausted": exhausted}
+    return 0, doc, [f"non-fork canonical forms: {forms}", f"keys among them: {keys}",
+                    f"exhausted: {exhausted}"]
 
 
-def _cmd_enumerate(args) -> int:
-    q = load_quiver(args.infile)
-    result = enumerate_class(q, args.budget)
+def _cmd_enumerate(args) -> Report:
+    result = enumerate_class(load_quiver(args.infile), args.budget)
     doc = {"forms": len(result.forms), "exhausted": result.exhausted}
-    _emit(args, doc, [
-        f"canonical forms: {len(result.forms)}",
-        f"exhausted: {result.exhausted}",
-    ])
-    return 0
+    return 0, doc, [f"canonical forms: {len(result.forms)}", f"exhausted: {result.exhausted}"]
 
 
-def _cmd_distinguishing(args) -> int:
-    t = load_quiver(args.infile)
-    seq, a = _read_sequence(args), _load_matrix(args.a)
-    try:
-        doc = {"distinguishing": is_distinguishing(t, seq, a)}
-    except IntegerOverflowError as exc:
-        doc = _overflow_verdict(exc, {"distinguishing": False})
-    _emit(args, doc, [f"{k}: {v}" for k, v in doc.items()])
-    return 0 if doc["distinguishing"] else 1
+def _cmd_distinguishing(args) -> Report:
+    t, seq, a = load_quiver(args.infile), _read_sequence(args), _load_matrix(args.a)
+    doc = _verdict(
+        lambda: {"distinguishing": is_distinguishing(t, seq, a)}, {"distinguishing": False}
+    )
+    return (0 if doc["distinguishing"] else 1), doc, [f"{k}: {v}" for k, v in doc.items()]
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> Report:
     if args.action == "list":
-        names = catalog.catalog_names()
-        _emit(args, {"items": list(names)}, list(names))
-        return 0
+        names = list(catalog.catalog_names())
+        return 0, {"items": names}, names
     if args.action == "show":
         item = catalog.catalog_item(args.name)
         doc = {
@@ -260,26 +211,20 @@ def _cmd_catalog(args) -> int:
         lines += [f"quiver {k}: {v!r}" for k, v in item.quivers.items()]
         lines += [f"sequence {k}: {','.join(map(str, v))}" for k, v in item.sequences.items()]
         lines += [f"permutation {k}: {_fmt_perm(v)}" for k, v in item.permutations.items()]
-        _emit(args, doc, lines)
-        return 0
+        return 0, doc, lines
     # verify
     names = catalog.catalog_names() if args.name == "all" else (args.name,)
-    all_ok = True
-    doc: dict[str, Any] = {}
-    lines: list[str] = []
-    for name in names:
-        checks = catalog.verify_item(name)
-        doc[name] = [{"check": c, "ok": ok} for c, ok, _ in checks]
-        for check, ok, _ in checks:
-            all_ok &= ok
-            lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {check}")
-    _emit(args, doc, lines)
-    return 0 if all_ok else 1
+    doc = {
+        name: [{"check": c, "ok": ok} for c, ok, _ in catalog.verify_item(name)]
+        for name in names
+    }
+    checks = [(name, c) for name, cs in doc.items() for c in cs]
+    lines = [f"[{'PASS' if c['ok'] else 'FAIL'}] {name}: {c['check']}" for name, c in checks]
+    return (0 if all(c["ok"] for _, c in checks) else 1), doc, lines
 
 
-def _cmd_export_dot(args) -> int:
-    _write_out(args, to_dot(load_quiver(args.infile)))
-    return 0
+def _cmd_export_dot(args) -> Report:
+    return 0, None, to_dot(load_quiver(args.infile))
 
 
 # -- parser ------------------------------------------------------------------
@@ -336,12 +281,11 @@ def _build_parser() -> argparse.ArgumentParser:
     add("classify", _cmd_classify, quiver_in, "structural predicates of a quiver")
 
     p = add("forkless", _cmd_forkless, quiver_in, "explore the forkless part")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = add(
-        "enumerate", _cmd_enumerate, quiver_in, "enumerate the mutation class up to isomorphism"
-    )
-    p.add_argument("--budget", type=int)
+    p = add("enumerate", _cmd_enumerate, quiver_in,
+            "enumerate the mutation class up to isomorphism")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = add("distinguishing", _cmd_distinguishing, sequence_in, "test a distinguishing matrix")
     p.add_argument("--a", required=True)
@@ -362,7 +306,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        status = args.handler(args)
+        status, doc, lines = args.handler(args)
+        if doc is None and args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(lines)
+        elif doc is None:
+            sys.stdout.write(lines)
+        elif args.json:
+            # print writes the newline on its own: a large write that a closed
+            # pipe cuts short raises nothing, and that second write raises.
+            print(json.dumps(doc, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
         sys.stdout.flush()
         return status
     except BrokenPipeError:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import explore
+from .classify import DEFAULT_BUDGET, explore
 from .errors import OutOfRangeError
 from .framing import CMatrix, Color, _color, framed
 from .permutation import Permutation
@@ -138,7 +138,7 @@ class ClassEnumeration:
         return len(self.forms)
 
 
-def enumerate_class(q: Quiver, node_budget: int | None = None) -> ClassEnumeration:
+def enumerate_class(q: Quiver, node_budget: int = DEFAULT_BUDGET) -> ClassEnumeration:
     """Breadth-first enumeration of the mutation class, deduplicated by
     canonical form, halting at the node budget (see :func:`explore`)."""
     forms, exhausted = explore(q, node_budget)

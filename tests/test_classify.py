@@ -18,8 +18,8 @@ from redcycle import (
     is_acyclic,
     catalog_item,
 )
-from redcycle.classify import DEFAULT_BUDGET, ClassificationReport, default_budget
-from redcycle.errors import AlreadyFramedError, CyclicQuiverError, ForkStartError, FormatError
+from redcycle.classify import ClassificationReport
+from redcycle.errors import AlreadyFramedError, CyclicQuiverError, ForkStartError
 from redcycle.reddening import source_sequence
 
 from conftest import random_abundant_acyclic, random_fork, random_quiver
@@ -374,17 +374,3 @@ def test_forkless_explore_rejects_budget_below_one():
             forkless_explore(q, node_budget=budget)
     report = forkless_explore(q, node_budget=1)
     assert len(report.forms) == 1 and not report.exhausted
-
-
-def test_default_budget_rejects_malformed_environment(monkeypatch):
-    q = Quiver.from_arrows([1, 2], [(1, 2)])
-    for value in ("abc", "0", "-5", "1.5"):
-        monkeypatch.setenv("REDCYCLE_BUDGET", value)
-        with pytest.raises(FormatError):
-            default_budget()
-        with pytest.raises(FormatError):
-            forkless_explore(q)
-    monkeypatch.setenv("REDCYCLE_BUDGET", "7")
-    assert default_budget() == 7
-    monkeypatch.setenv("REDCYCLE_BUDGET", "")
-    assert default_budget() == DEFAULT_BUDGET

@@ -157,13 +157,11 @@ def _check(directory: str, path: str, commands, stderr: bool) -> None:
         assert got == want, " ".join(want["argv"])
 
 
-def test_cli_output_matches_golden(tmp_path, monkeypatch):
-    monkeypatch.delenv("REDCYCLE_BUDGET", raising=False)
+def test_cli_output_matches_golden(tmp_path):
     _check(str(tmp_path), GOLDEN, COMMANDS, stderr=False)
 
 
-def test_cli_text_output_matches_golden(tmp_path, monkeypatch):
-    monkeypatch.delenv("REDCYCLE_BUDGET", raising=False)
+def test_cli_text_output_matches_golden(tmp_path):
     _check(str(tmp_path), TEXT_GOLDEN, TEXT_COMMANDS, stderr=True)
 
 

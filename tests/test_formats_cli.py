@@ -463,16 +463,6 @@ def test_cli_out_of_range_arguments_exit_2(kprime_file, capsys, argv):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("command", ["enumerate", "forkless"])
-def test_cli_malformed_budget_environment_exits_2(kprime_file, capsys, monkeypatch, command):
-    monkeypatch.setenv("REDCYCLE_BUDGET", "abc")
-    assert main([command, "--in", kprime_file]) == 2
-    assert capsys.readouterr().err.startswith("error: REDCYCLE_BUDGET")
-    monkeypatch.setenv("REDCYCLE_BUDGET", "3")
-    assert main([command, "--in", kprime_file, "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["forms"] == 3
-
-
 def test_cli_rank_zero_quiver_gets_a_report(tmp_path, capsys):
     # The loader accepts the quiver with no vertices, so every command that
     # frames it or extends it must report on it, with or without --json.
