@@ -14,7 +14,6 @@ cycle fails to close is raised as an error, never returned silently.
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass
 from itertools import tee
 from math import lcm
@@ -35,6 +34,7 @@ from .permutation import Permutation
 from .quiver import (
     MutationSequence,
     Quiver,
+    _as_int,
     encodings,
     find_isomorphism,
     inverse_sequence,
@@ -47,7 +47,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def _as_matrix(a: Sequence[Sequence[int]]) -> Matrix:
-    return tuple([tuple([operator.index(x) for x in row]) for row in a])
+    return tuple([tuple([_as_int(x) for x in row]) for row in a])
 
 
 @dataclass(frozen=True)
@@ -260,6 +260,8 @@ def is_distinguishing(
     above every label of ``t``.
     """
     mat = _as_matrix(a)
+    if len(mat) != t.rank:  # any width will do, so only the row count is wanted
+        raise ShapeError(f"extension matrix must have {t.rank} row(s): {len(mat)} given")
     k = len(mat[0]) if mat else 0
     base = max(t.labels, default=0)
     isolated = Quiver.from_arrows(range(base + 1, base + 1 + k), [])

@@ -17,11 +17,10 @@ pair listed in both directions).  All output is deterministic byte for byte.
 from __future__ import annotations
 
 import json
-import operator
 from typing import Any
 
 from .errors import FormatError
-from .quiver import MutationSequence, Quiver
+from .quiver import MutationSequence, Quiver, _as_int
 
 
 def quiver_from_dict(data: Any) -> Quiver:
@@ -30,19 +29,19 @@ def quiver_from_dict(data: Any) -> Quiver:
         raise FormatError("quiver document must be a JSON object")
     frozen_pairs = data.get("frozen", [])
     try:
-        pairs = [(operator.index(m), operator.index(f)) for m, f in frozen_pairs]
+        pairs = [(_as_int(m), _as_int(f)) for m, f in frozen_pairs]
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad frozen pairs: {exc}") from None
     try:
         if "arrows" in data or "vertices" in data:
-            vertices = [operator.index(v) for v in data["vertices"]]
-            arrows = [tuple(operator.index(x) for x in arrow) for arrow in data.get("arrows", [])]
+            vertices = [_as_int(v) for v in data["vertices"]]
+            arrows = [tuple(_as_int(x) for x in arrow) for arrow in data.get("arrows", [])]
             if any(len(a) not in (2, 3) for a in arrows):
                 raise FormatError("arrows must be [src, dst] or [src, dst, mult]")
             return Quiver.from_arrows(vertices, arrows, frozen_pairs=pairs)
         if "b_matrix" in data:
-            labels = [operator.index(v) for v in data["labels"]]
-            rows = [[operator.index(x) for x in row] for row in data["b_matrix"]]
+            labels = [_as_int(v) for v in data["labels"]]
+            rows = [[_as_int(x) for x in row] for row in data["b_matrix"]]
             mutable = [v for v in labels if v not in {f for _, f in pairs}]
             return Quiver(mutable, rows, labels, pairs)
     except FormatError:
@@ -94,7 +93,7 @@ def parse_sequence(text: str) -> MutationSequence:
 def parse_matrix(data: Any) -> tuple[tuple[int, ...], ...]:
     """An integer matrix given as a JSON list of rows."""
     try:
-        return tuple(tuple(operator.index(x) for x in row) for row in data)
+        return tuple(tuple(_as_int(x) for x in row) for row in data)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad matrix: {exc}") from None
 

@@ -53,6 +53,17 @@ INT_LIMIT = 2**63 - 1
 MutationSequence = tuple[int, ...]
 
 
+def _as_int(x: object) -> int:
+    """``operator.index(x)``, refusing ``bool``: a JSON ``true`` is not 1."""
+    if isinstance(x, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(x)
+
+
+def _is_label(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 def reduce_sequence(seq: Iterable[int]) -> MutationSequence:
     """Cancel adjacent duplicate entries until none remain (stack algorithm).
 
@@ -143,7 +154,7 @@ class Quiver:
         frozen = tuple(sorted(f for _, f in self._frozen_pairs))
         self._labels = self._mutable + frozen
         self._index = {v: i for i, v in enumerate(self._labels)}
-        self._rows = tuple([tuple([operator.index(x) for x in row]) for row in rows])
+        self._rows = tuple([tuple([_as_int(x) for x in row]) for row in rows])
         self._validate(frozen, self._labels if labels is None else tuple(labels))
 
     def _validate(self, frozen: tuple[int, ...], labels: tuple[int, ...]) -> None:
@@ -154,12 +165,14 @@ class Quiver:
             raise ValueError("frozen labels must be disjoint from mutable labels")
         if len(self._index) != n or len(self._labels) != n:
             raise ValueError("duplicate vertex labels")
-        if any(not isinstance(v, int) or v < 1 for v in labels):
+        if not all(map(_is_label, labels)):
             raise ValueError("labels must be positive integers")
         if set(self._labels) != set(labels):
             raise ValueError("labels do not match the mutable/frozen split")
         mut_of = [m for m, _ in self._frozen_pairs]
-        if len(set(mut_of)) != len(mut_of) or any(m not in self._index for m in mut_of):
+        if len(set(mut_of)) != len(mut_of) or not all(
+            _is_label(m) and m in self._index for m in mut_of
+        ):
             raise ValueError("invalid frozen pairing")
         if len(self._rows) != n or any(len(r) != n for r in self._rows):
             raise ValueError("exchange matrix shape does not match labels")
@@ -258,12 +271,12 @@ class Quiver:
                 src, dst, mult = arrow[0], arrow[1], 1
             else:
                 src, dst, mult = arrow  # type: ignore[misc]
-            if src not in index or dst not in index:
-                bad = src if src not in index else dst
-                raise UnknownVertexError(f"arrow endpoint {bad} is not a vertex")
+            for v in (src, dst):
+                if isinstance(v, bool) or v not in index:
+                    raise UnknownVertexError(f"arrow endpoint {v} is not a vertex")
             if src == dst:
                 raise ValueError(f"loop at vertex {src}: quivers have no loops")
-            if mult < 1:
+            if isinstance(mult, bool) or mult < 1:
                 raise ValueError(f"arrow multiplicity must be >= 1, got {mult}")
             i, j = index[src], index[dst]
             if rows[j][i] > 0:
@@ -424,7 +437,7 @@ class Quiver:
         full = {v: mapping.get(v, v) for v in self._labels}
         if len(set(full.values())) != len(full):
             raise ValueError("relabeling is not injective")
-        if any(not isinstance(v, int) or v < 1 for v in full.values()):
+        if not all(map(_is_label, full.values())):
             raise ValueError("labels must be positive integers")
         return self._relaid(
             [full[v] for v in self._labels],

@@ -7,7 +7,8 @@ import pytest
 
 from redcycle import Quiver, catalog_item, framed
 from redcycle.cli import main
-from redcycle.errors import FormatError
+from redcycle.errors import FormatError, UnknownVertexError
+from redcycle.extcycles import is_distinguishing
 from redcycle.formats import (
     dump_quiver,
     parse_matrix,
@@ -244,7 +245,7 @@ def _assert_one_error_line(capsys, message):
 
 @pytest.mark.parametrize("a, message", [
     ("[[1,2],[1]]", "extension matrix must be 2x2: row 2 has length 1"),
-    ("[]", "extension matrix must be 2x0: 0 row(s) given"),
+    ("[]", "extension matrix must have 2 row(s): 0 given"),
 ])
 def test_cli_distinguishing_bad_extension_matrix_is_malformed(tmp_path, capsys, a, message):
     a2 = _write(tmp_path, "a2.json", {"vertices": [1, 2], "arrows": [[1, 2]]})
@@ -298,6 +299,64 @@ def test_non_integer_extension_matrix_is_malformed(tmp_path, capsys):
 def test_non_integer_exchange_matrix_is_refused():
     with pytest.raises(TypeError):
         Quiver([1, 2], [[0, 1.5], [-1.5, 0]])
+
+
+BOOL_ERROR = "'bool' object cannot be interpreted as an integer"
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("doc", [
+    {"vertices": [1, "B"], "arrows": [[1, 2]]},
+    {"vertices": [1, 2], "arrows": [["B", 2]]},
+    {"vertices": [1, 2], "arrows": [[1, "B"]]},
+    {"vertices": [1, 2], "arrows": [[1, 2, "B"]]},
+    {"labels": [1, "B"], "b_matrix": [[0, 1], [-1, 0]]},
+    {"labels": [1, 2], "b_matrix": [[0, "B"], [0, 0]]},
+    {"vertices": [1, 2, 11], "arrows": [[1, 11]], "frozen": [["B", 11]]},
+    {"vertices": [1, 2, 11], "arrows": [[1, 11]], "frozen": [[1, "B"]]},
+], ids=["vertex", "source", "target", "multiplicity", "label", "entry", "frozen pair", "frozen"])
+def test_json_booleans_in_a_quiver_are_malformed(tmp_path, capsys, doc, value):
+    # operator.index(True) == 1, so a JSON true used to load as the number 1.
+    # "B" marks where the boolean goes.
+    doc = json.loads(json.dumps(doc).replace('"B"', json.dumps(value)))
+    with pytest.raises(FormatError):
+        quiver_from_dict(doc)
+    assert main(["mutate", "--in", _write(tmp_path, "q.json", doc), "--seq", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("a", ["[[true],[1]]", "[[1],[false]]"])
+def test_json_booleans_in_an_extension_matrix_are_malformed(tmp_path, capsys, a):
+    with pytest.raises(FormatError):
+        parse_matrix(json.loads(a))
+    a2 = _write(tmp_path, "a2.json", {"vertices": [1, 2], "arrows": [[1, 2]]})
+    assert main(["distinguishing", "--in", a2, "--seq", "1", "--a", a]) == 2
+    _assert_one_error_line(capsys, f"bad matrix: {BOOL_ERROR}")
+
+
+def test_booleans_are_not_labels_or_entries():
+    # True == 1 and hash(True) == hash(1), but it would encode as b"True".
+    rows = [[0, 1], [-1, 0]]
+    with pytest.raises(ValueError, match="labels must be positive integers"):
+        Quiver([True, 2], rows)
+    with pytest.raises(ValueError, match="labels must be positive integers"):
+        Quiver([1, 2], rows, labels=[True, 2])
+    with pytest.raises(TypeError, match=BOOL_ERROR):
+        Quiver([1, 2], [[0, True], [-1, 0]])
+    with pytest.raises(ValueError, match="invalid frozen pairing"):
+        Quiver.from_arrows([1, 2, 11], [(1, 11)], frozen_pairs=[(True, 11)])
+    with pytest.raises(UnknownVertexError, match="arrow endpoint True is not a vertex"):
+        Quiver.from_arrows([1, 2], [(True, 2)])
+    with pytest.raises(UnknownVertexError, match="arrow endpoint True is not a vertex"):
+        Quiver.from_arrows([1, 2], [(2, True)])
+    with pytest.raises(ValueError, match="multiplicity"):
+        Quiver.from_arrows([1, 2], [(1, 2, True)])
+    with pytest.raises(ValueError, match="labels must be positive integers"):
+        Quiver.from_arrows([1, 2], [(1, 2)]).relabeled({1: True})
+    with pytest.raises(TypeError, match=BOOL_ERROR):
+        is_distinguishing(Quiver.from_arrows([1, 2], [(1, 2)]), (1,), [[True], [1]])
 
 
 def test_parse_sequence():
