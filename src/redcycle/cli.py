@@ -51,8 +51,6 @@ from .quiver import reduce_sequence
 from .reddening import is_maximal_green, is_reddening
 from .search import enumerate_class, search_reddening
 
-#: A handler's exit status, ``--json`` document and text lines; a None
-#: document means the third item is a file's text.
 Report = tuple[int, dict | None, list[str] | str]
 
 
@@ -120,14 +118,20 @@ def _cmd_reddening_verify(args) -> Report:
 
 def _cmd_search(args) -> Report:
     result = search_reddening(
-        load_quiver(args.infile), max_len=args.max_len, reduced_only=args.reduced,
-        green_only=args.green_only, first_only=args.first, prune_revisited=args.prune_revisited,
+        load_quiver(args.infile),
+        max_len=args.max_len,
+        reduced_only=args.reduced,
+        green_only=args.green_only,
+        first_only=args.first,
+        prune_revisited=args.prune_revisited,
     )
     doc = {
         "count": len(result),
         "complete": result.complete,
         "overflow_branches": result.overflow_branches,
-        "sequences": [{"sequence": list(s), "permutation": _fmt_perm(p)} for s, p in result],
+        "sequences": [
+            {"sequence": list(s), "permutation": _fmt_perm(p)} for s, p in result
+        ],
     }
     lines = [f"found {len(result)} sequence(s); complete={result.complete}"]
     lines += [f"  {','.join(map(str, s))}  ->  {_fmt_perm(p)}" for s, p in result]
@@ -153,9 +157,14 @@ def _cmd_cycle_verify(args) -> Report:
 
     def report() -> dict:
         r = verify_cycle(q, seq)
-        return {"length": r.length, "is_reduced": r.is_reduced, "closes_equal": r.closes_equal,
-                "closes_iso": _fmt_perm(r.closes_iso), "simple": r.simple,
-                "all_abundant": r.all_abundant}
+        return {
+            "length": r.length,
+            "is_reduced": r.is_reduced,
+            "closes_equal": r.closes_equal,
+            "closes_iso": _fmt_perm(r.closes_iso),
+            "simple": r.simple,
+            "all_abundant": r.all_abundant,
+        }
 
     doc = _verdict(report, {"length": len(seq), "closes_equal": False})
     return (0 if doc["closes_equal"] else 1), doc, [f"{k}: {v}" for k, v in doc.items()]
@@ -283,8 +292,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("forkless", _cmd_forkless, quiver_in, "explore the forkless part")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = add("enumerate", _cmd_enumerate, quiver_in,
-            "enumerate the mutation class up to isomorphism")
+    p = add(
+        "enumerate", _cmd_enumerate, quiver_in, "enumerate the mutation class up to isomorphism"
+    )
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = add("distinguishing", _cmd_distinguishing, sequence_in, "test a distinguishing matrix")

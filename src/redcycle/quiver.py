@@ -60,10 +60,6 @@ def _as_int(x: object) -> int:
     return operator.index(x)
 
 
-def _is_label(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-
 def reduce_sequence(seq: Iterable[int]) -> MutationSequence:
     """Cancel adjacent duplicate entries until none remain (stack algorithm).
 
@@ -165,14 +161,13 @@ class Quiver:
             raise ValueError("frozen labels must be disjoint from mutable labels")
         if len(self._index) != n or len(self._labels) != n:
             raise ValueError("duplicate vertex labels")
-        if not all(map(_is_label, labels)):
+        mut_of = [m for m, _ in self._frozen_pairs]
+        # A bool is an int that equals 0 or 1, so only the type tells it apart.
+        if any(type(v) is not int or v < 1 for v in labels + tuple(mut_of)):
             raise ValueError("labels must be positive integers")
         if set(self._labels) != set(labels):
             raise ValueError("labels do not match the mutable/frozen split")
-        mut_of = [m for m, _ in self._frozen_pairs]
-        if len(set(mut_of)) != len(mut_of) or not all(
-            _is_label(m) and m in self._index for m in mut_of
-        ):
+        if len(set(mut_of)) != len(mut_of) or any(m not in self._index for m in mut_of):
             raise ValueError("invalid frozen pairing")
         if len(self._rows) != n or any(len(r) != n for r in self._rows):
             raise ValueError("exchange matrix shape does not match labels")
@@ -272,7 +267,7 @@ class Quiver:
             else:
                 src, dst, mult = arrow  # type: ignore[misc]
             for v in (src, dst):
-                if isinstance(v, bool) or v not in index:
+                if type(v) is not int or v not in index:
                     raise UnknownVertexError(f"arrow endpoint {v} is not a vertex")
             if src == dst:
                 raise ValueError(f"loop at vertex {src}: quivers have no loops")
@@ -437,7 +432,7 @@ class Quiver:
         full = {v: mapping.get(v, v) for v in self._labels}
         if len(set(full.values())) != len(full):
             raise ValueError("relabeling is not injective")
-        if not all(map(_is_label, full.values())):
+        if any(type(v) is not int or v < 1 for v in full.values()):
             raise ValueError("labels must be positive integers")
         return self._relaid(
             [full[v] for v in self._labels],

@@ -345,7 +345,7 @@ def test_booleans_are_not_labels_or_entries():
         Quiver([1, 2], rows, labels=[True, 2])
     with pytest.raises(TypeError, match=BOOL_ERROR):
         Quiver([1, 2], [[0, True], [-1, 0]])
-    with pytest.raises(ValueError, match="invalid frozen pairing"):
+    with pytest.raises(ValueError, match="labels must be positive integers"):
         Quiver.from_arrows([1, 2, 11], [(1, 11)], frozen_pairs=[(True, 11)])
     with pytest.raises(UnknownVertexError, match="arrow endpoint True is not a vertex"):
         Quiver.from_arrows([1, 2], [(True, 2)])
