@@ -9,12 +9,15 @@ deletions are abundant acyclic, respectively forks with a common return.
 The twin condition is implemented as sign agreement only (``j -> k`` iff
 ``j -> k'`` as directions, multiplicities free): the catalog key has twin
 arrows of unequal weight, so requiring equal multiplicities would reject it.
+The predicates read the mutable rows by index, which is label order.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import combinations
+from operator import ne
 from typing import Callable, Sequence
 
 from .errors import AlreadyFramedError, ForkStartError, OutOfRangeError
@@ -47,42 +50,42 @@ class ClassificationReport:
         return bool(self.prefork_pairs)
 
 
-def _source_order(q: Quiver, vs: Sequence[int]) -> list[int] | None:
-    """The vertices ``vs`` in a topological order of the subquiver they span,
+def _source_order(rows: Sequence[Sequence[int]], vs: Sequence[int]) -> list[int] | None:
+    """The indices ``vs`` in a topological order of the subquiver they span,
     the smallest current source first (Kahn's algorithm on a min-heap);
     None when that subquiver has an oriented cycle."""
-    indegree = {v: sum(q.b(u, v) > 0 for u in vs) for v in vs}
-    heap = sorted(v for v in vs if not indegree[v])
+    indegree = {v: sum([rows[v][u] < 0 for u in vs]) for v in vs}
+    heap = [v for v in vs if not indegree[v]]
     order = []
     while heap:
         u = heapq.heappop(heap)
         order.append(u)
         for v in vs:
-            if q.b(u, v) > 0:
+            if rows[u][v] > 0:
                 indegree[v] -= 1
                 if not indegree[v]:
                     heapq.heappush(heap, v)
     return order if len(order) == len(vs) else None
 
 
-def _abundant(q: Quiver, vs: Sequence[int]) -> bool:
-    """True when every pair of the vertices ``vs`` is joined by >= 2 arrows."""
-    return all(abs(q.b(u, v)) >= 2 for i, u in enumerate(vs) for v in vs[i + 1 :])
+def _abundant(rows: Sequence[Sequence[int]], vs: Sequence[int]) -> bool:
+    """True when every pair of the indices ``vs`` is joined by >= 2 arrows."""
+    return all(abs(rows[u][v]) >= 2 for i, u in enumerate(vs) for v in vs[i + 1 :])
 
 
 def is_acyclic(q: Quiver) -> bool:
     """True when the mutable part has no oriented cycle."""
-    return _source_order(q, q.mutable_labels) is not None
+    return _source_order(q.mutable_rows(), range(q.rank)) is not None
 
 
 def is_abundant(q: Quiver) -> bool:
     """True when every pair of mutable vertices is joined by >= 2 arrows."""
-    return _abundant(q, q.mutable_labels)
+    return _abundant(q.mutable_rows(), range(q.rank))
 
 
-def _fork_returns(q: Quiver, vs: Sequence[int]) -> frozenset[int]:
-    """Points of return of the subquiver on ``vs``, which the caller found
-    abundant and not acyclic; empty unless that subquiver is a fork.
+def _fork_returns(rows: Sequence[Sequence[int]], vs: Sequence[int]) -> frozenset[int]:
+    """Points of return, as indices, of the subquiver on ``vs``, which the
+    caller found abundant and not acyclic; empty unless it is a fork.
 
     Acyclic quivers are never forks: a source would satisfy the path
     condition vacuously, and abundant acyclic quivers must stay on the
@@ -91,29 +94,22 @@ def _fork_returns(q: Quiver, vs: Sequence[int]) -> frozenset[int]:
     returns = []
     for r in vs:
         rest = [v for v in vs if v != r]
-        ins = [i for i in rest if q.b(i, r) > 0]
-        outs = [j for j in rest if q.b(r, j) > 0]
-        if _source_order(q, rest) is not None and all(
-            q.b(j, i) > max(q.b(i, r), q.b(r, j)) for i in ins for j in outs
+        row = rows[r]  # b(i, r) = -row[i]
+        ins = [i for i in rest if row[i] < 0]
+        outs = [j for j in rest if row[j] > 0]
+        if all(rows[j][i] > max(-row[i], row[j]) for i in ins for j in outs) and (
+            _source_order(rows, rest) is not None
         ):
             returns.append(r)
     return frozenset(returns)
 
 
-def _twin_pairs(q: Quiver) -> list[tuple[int, int]]:
-    """Pairs (k, k') whose arrows to every third vertex agree in direction."""
-    mut = q.mutable_labels
-    out = []
-    for i, k in enumerate(mut):
-        for kp in mut[i + 1 :]:
-            others = [j for j in mut if j not in (k, kp)]
-            if all(
-                (q.b(j, k) > 0) == (q.b(j, kp) > 0)
-                and (q.b(j, k) < 0) == (q.b(j, kp) < 0)
-                for j in others
-            ):
-                out.append((k, kp))
-    return out
+def _twin_pairs(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """Pairs (k, k') whose arrows to every third vertex agree in direction;
+    their sign rows also differ at k and k' exactly when an arrow joins them."""
+    sign = [[(x > 0) - (x < 0) for x in row] for row in rows]
+    pairs = combinations(range(len(rows)), 2)
+    return [(k, kp) for k, kp in pairs if sum(map(ne, sign[k], sign[kp])) == 2 * (rows[k][kp] != 0)]
 
 
 def classify(q: Quiver) -> ClassificationReport:
@@ -121,35 +117,35 @@ def classify(q: Quiver) -> ClassificationReport:
 
     All candidate return points and vertex pairs are tried exhaustively;
     target sizes (n <= 16) keep this immediate.  A vertex deletion is the
-    list of the other vertices, read off ``q``'s own matrix; it is acyclic
-    when ``q`` is, so it can be a fork only when ``q`` is not.
+    list of the other indices into ``q``'s rows; it is acyclic when ``q``
+    is, so it can be a fork only when ``q`` is not.
     """
     if q.is_framed:
         raise AlreadyFramedError("classify expects an unframed quiver")
-    mut = q.mutable_labels
-    acyclic = _source_order(q, mut) is not None
-    abundant = _abundant(q, mut)
-    fork_returns = _fork_returns(q, mut) if abundant and not acyclic else frozenset()
+    mut, rows, vs = q.mutable_labels, q.mutable_rows(), range(q.rank)
+    acyclic = _source_order(rows, vs) is not None
+    abundant = _abundant(rows, vs)
+    returns = _fork_returns(rows, vs) if abundant and not acyclic else ()
 
     key_pairs = []
     prefork_pairs = []
     # Below rank 3 the twin conditions hold vacuously (single-vertex
     # deletions are trivially abundant acyclic), which would make every
     # 2-vertex quiver a key; the key/pre-fork notions start at rank 3.
-    for k, kp in _twin_pairs(q) if q.rank >= 3 else []:
-        del_k = [v for v in mut if v != k]
-        del_kp = [v for v in mut if v != kp]
+    for k, kp in _twin_pairs(rows) if q.rank >= 3 else []:
+        del_k = [v for v in vs if v != k]
+        del_kp = [v for v in vs if v != kp]
         if acyclic:
-            if _abundant(q, del_k) and _abundant(q, del_kp):
-                key_pairs.append(((k, kp), q.b(k, kp)))
-        elif all(_abundant(q, d) and _source_order(q, d) is None for d in (del_k, del_kp)):
-            common = _fork_returns(q, del_k) & _fork_returns(q, del_kp)
-            prefork_pairs.extend(((k, kp), r) for r in sorted(common))
+            if _abundant(rows, del_k) and _abundant(rows, del_kp):
+                key_pairs.append(((mut[k], mut[kp]), rows[k][kp]))
+        elif all(_abundant(rows, d) and _source_order(rows, d) is None for d in (del_k, del_kp)):
+            common = _fork_returns(rows, del_k) & _fork_returns(rows, del_kp)
+            prefork_pairs.extend(((mut[k], mut[kp]), mut[r]) for r in sorted(common))
 
     report = ClassificationReport(
         acyclic=acyclic,
         abundant=abundant,
-        fork_returns=fork_returns,
+        fork_returns=frozenset([mut[r] for r in returns]),
         key_pairs=tuple(key_pairs),
         prefork_pairs=tuple(prefork_pairs),
     )
@@ -192,22 +188,31 @@ def explore(
     is always kept.  Deduplication comes first, and a rejected form is never
     looked at again, which is sound because ``keep`` must be an isomorphism
     invariant (fork, pre-fork and key status are).
+
+    Labels stay fixed, so a neighbour with a stored representative's rows is
+    that quiver and needs no canonical form.  A vertex whose row repeats an
+    earlier row, or the entry vertex's row, is skipped: such twins share no
+    arrow, swapping them is an automorphism, and the form is already known.
     """
     if node_budget < 1:
         raise OutOfRangeError(f"node budget must be >= 1, got {node_budget}")
     start = canonical_form(q)
     forms: dict[bytes, Quiver] = {start: q}
+    stored = {q.mutable_rows()}
     rejected: set[bytes] = set()
-    # Each entry carries the vertex it was reached by: mutating there again
-    # gives back the parent, whose form is already known.
-    level: dict[bytes, tuple[Quiver, int | None]] = {start: (q, None)}
+    # Each entry carries the row of its entry vertex: mutating there gives
+    # back the parent.
+    level: dict[bytes, tuple[Quiver, tuple[int, ...] | None]] = {start: (q, None)}
     while level and len(forms) < node_budget:
-        next_level: dict[bytes, tuple[Quiver, int | None]] = {}
+        next_level: dict[bytes, tuple[Quiver, tuple[int, ...] | None]] = {}
         for _, (rep, via) in sorted(level.items()):
-            for v in rep.mutable_labels:
-                if v == via:
+            rows = rep.mutable_rows()
+            for i, v in enumerate(rep.mutable_labels):
+                if rows[i] == via or rows[i] in rows[:i]:
                     continue
                 neighbor = rep.mutate(v)
+                if neighbor.mutable_rows() in stored:
+                    continue
                 form = canonical_form(neighbor)
                 if form in forms or form in rejected:
                     continue
@@ -215,7 +220,8 @@ def explore(
                     rejected.add(form)
                     continue
                 forms[form] = neighbor
-                next_level[form] = (neighbor, v)
+                stored.add(neighbor.mutable_rows())
+                next_level[form] = (neighbor, neighbor.mutable_rows()[i])
                 if len(forms) >= node_budget:
                     return forms, False
         level = next_level

@@ -317,15 +317,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         status, doc, lines = args.handler(args)
+        # A large write that a closed pipe cuts short raises nothing, so no
+        # output goes out in one write: the next one raises.
         if doc is None and args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(lines)
         elif doc is None:
-            sys.stdout.write(lines)
+            sys.stdout.writelines(lines[i : i + 65536] for i in range(0, len(lines), 65536))
         elif args.json:
-            # print writes the newline on its own: a large write that a closed
-            # pipe cuts short raises nothing, and that second write raises.
-            print(json.dumps(doc, sort_keys=True))
+            print(json.dumps(doc, sort_keys=True))  # the newline is a second write
         else:
             for line in lines:
                 print(line)

@@ -254,6 +254,9 @@ class Quiver:
         Arrows repeated in the same direction accumulate; listing a pair in
         both directions is rejected rather than silently cancelled.
         """
+        vertices = tuple(vertices)
+        if len(set(vertices)) != len(vertices):
+            raise ValueError("duplicate vertex labels")
         pairs = tuple(sorted(frozen_pairs))
         frozen = tuple(sorted(f for _, f in pairs))
         mutable = tuple(sorted(set(vertices) - set(frozen)))

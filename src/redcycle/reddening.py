@@ -62,7 +62,7 @@ def source_sequence(q: Quiver) -> MutationSequence:
     among the current sources.  Mutating along it fixes the quiver and is a
     reddening sequence with identity permutation.
     """
-    order = _source_order(q, q.mutable_labels)
+    order = _source_order(q.mutable_rows(), range(q.rank))
     if order is None:
         raise CyclicQuiverError("quiver has an oriented cycle")
-    return tuple(order)
+    return tuple([q.mutable_labels[i] for i in order])

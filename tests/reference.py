@@ -1,15 +1,22 @@
 """Slow, obviously right references for the library's fast paths.
 
-They work on plain lists with unbounded integers and share no code with
+Most work on plain lists with unbounded integers and share no code with
 the library.  The brute-force ones try every ordering or relabeling of the
-mutable vertices, so they are only fit for small ranks (n <= 6).
+mutable vertices, so they are only fit for small ranks (n <= 6).  The
+structural predicates (:func:`classify` and its helpers) read labels
+through ``Quiver.b``, and :func:`explore` is the plain breadth-first loop
+with no shortcut; both are the library's earlier code, kept as the oracle
+for its index-row predicates and for the shortcuts of its explore loop.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from typing import Sequence
 
-from redcycle import Permutation, Quiver
+from redcycle import Permutation, Quiver, canonical_form
+from redcycle.classify import ClassificationReport
 from redcycle.search import WEIGHT_GUARDRAIL
 
 
@@ -237,3 +244,146 @@ def first_step_over(matrices, limit: int) -> int | None:
         if first_over(rows, limit) is not None:
             return state - 1
     return None
+
+
+def _source_order(q: Quiver, vs: Sequence[int]) -> list[int] | None:
+    """The labels ``vs`` in a topological order of the subquiver they span,
+    the smallest current source first (Kahn's algorithm on a min-heap);
+    None when that subquiver has an oriented cycle."""
+    indegree = {v: sum(q.b(u, v) > 0 for u in vs) for v in vs}
+    heap = sorted(v for v in vs if not indegree[v])
+    order = []
+    while heap:
+        u = heapq.heappop(heap)
+        order.append(u)
+        for v in vs:
+            if q.b(u, v) > 0:
+                indegree[v] -= 1
+                if not indegree[v]:
+                    heapq.heappush(heap, v)
+    return order if len(order) == len(vs) else None
+
+
+def _abundant(q: Quiver, vs: Sequence[int]) -> bool:
+    """True when every pair of the labels ``vs`` is joined by >= 2 arrows."""
+    return all(abs(q.b(u, v)) >= 2 for i, u in enumerate(vs) for v in vs[i + 1 :])
+
+
+def is_acyclic(q: Quiver) -> bool:
+    return _source_order(q, q.mutable_labels) is not None
+
+
+def is_abundant(q: Quiver) -> bool:
+    return _abundant(q, q.mutable_labels)
+
+
+def source_sequence(q: Quiver) -> tuple[int, ...] | None:
+    """The source sequence of ``q``, or None when ``q`` has an oriented
+    cycle (where the library raises ``CyclicQuiverError``)."""
+    order = _source_order(q, q.mutable_labels)
+    return None if order is None else tuple(order)
+
+
+def _fork_returns(q: Quiver, vs: Sequence[int]) -> frozenset[int]:
+    """Points of return of the subquiver on ``vs``, which the caller found
+    abundant and not acyclic."""
+    returns = []
+    for r in vs:
+        rest = [v for v in vs if v != r]
+        ins = [i for i in rest if q.b(i, r) > 0]
+        outs = [j for j in rest if q.b(r, j) > 0]
+        if _source_order(q, rest) is not None and all(
+            q.b(j, i) > max(q.b(i, r), q.b(r, j)) for i in ins for j in outs
+        ):
+            returns.append(r)
+    return frozenset(returns)
+
+
+def _twin_pairs(q: Quiver) -> list[tuple[int, int]]:
+    """Pairs (k, k') whose arrows to every third vertex agree in direction."""
+    mut = q.mutable_labels
+    out = []
+    for i, k in enumerate(mut):
+        for kp in mut[i + 1 :]:
+            others = [j for j in mut if j not in (k, kp)]
+            if all(
+                (q.b(j, k) > 0) == (q.b(j, kp) > 0)
+                and (q.b(j, k) < 0) == (q.b(j, kp) < 0)
+                for j in others
+            ):
+                out.append((k, kp))
+    return out
+
+
+def classify(q: Quiver) -> ClassificationReport:
+    """The classification report of an unframed quiver, every predicate
+    asked by label through ``Quiver.b``."""
+    mut = q.mutable_labels
+    acyclic = _source_order(q, mut) is not None
+    abundant = _abundant(q, mut)
+    fork_returns = _fork_returns(q, mut) if abundant and not acyclic else frozenset()
+    key_pairs = []
+    prefork_pairs = []
+    for k, kp in _twin_pairs(q) if q.rank >= 3 else []:
+        del_k = [v for v in mut if v != k]
+        del_kp = [v for v in mut if v != kp]
+        if acyclic:
+            if _abundant(q, del_k) and _abundant(q, del_kp):
+                key_pairs.append(((k, kp), q.b(k, kp)))
+        elif all(_abundant(q, d) and _source_order(q, d) is None for d in (del_k, del_kp)):
+            common = _fork_returns(q, del_k) & _fork_returns(q, del_kp)
+            prefork_pairs.extend(((k, kp), r) for r in sorted(common))
+    return ClassificationReport(
+        acyclic=acyclic,
+        abundant=abundant,
+        fork_returns=fork_returns,
+        key_pairs=tuple(key_pairs),
+        prefork_pairs=tuple(prefork_pairs),
+    )
+
+
+def explore(q: Quiver, node_budget: int, keep=None) -> tuple[dict[bytes, Quiver], bool]:
+    """The breadth-first class walk of ``classify.explore`` with no
+    shortcut: every vertex but the one a representative was reached by is
+    mutated, and every neighbour gets its canonical form."""
+    start = canonical_form(q)
+    forms = {start: q}
+    rejected = set()
+    level = {start: (q, None)}
+    while level and len(forms) < node_budget:
+        next_level = {}
+        for _, (rep, via) in sorted(level.items()):
+            for v in rep.mutable_labels:
+                if v == via:
+                    continue
+                neighbor = rep.mutate(v)
+                form = canonical_form(neighbor)
+                if form in forms or form in rejected:
+                    continue
+                if keep is not None and not keep(form, neighbor):
+                    rejected.add(form)
+                    continue
+                forms[form] = neighbor
+                next_level[form] = (neighbor, v)
+                if len(forms) >= node_budget:
+                    return forms, False
+        level = next_level
+    return forms, len(forms) < node_budget
+
+
+def forkless_explore(q: Quiver, node_budget: int, discard_preforks: bool):
+    """``(forms, key_forms, exhausted)`` of the forkless (or, with
+    ``discard_preforks``, pre-forkless) part: :func:`explore` keeping the
+    forms that :func:`classify` finds no fork (nor pre-fork)."""
+    keys = set()
+
+    def keep(form, rep):
+        report = classify(rep)
+        if report.key_pairs:
+            keys.add(form)
+        return not (report.fork_returns or (discard_preforks and report.prefork_pairs))
+
+    forms, exhausted = explore(q, node_budget, keep)
+    if classify(q).key_pairs:
+        keys.add(canonical_form(q))
+    return forms, {form: rep for form, rep in forms.items() if form in keys}, exhausted

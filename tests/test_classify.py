@@ -1,6 +1,7 @@
 """Structural predicates, canonical forms, forkless exploration."""
 
 import importlib
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from redcycle import (
     box_quiver,
     canonical_form,
     classify,
+    enumerate_class,
     find_isomorphism,
     forkless_explore,
     framed,
@@ -19,9 +21,15 @@ from redcycle import (
     catalog_item,
 )
 from redcycle.classify import ClassificationReport
-from redcycle.errors import AlreadyFramedError, CyclicQuiverError, ForkStartError
+from redcycle.errors import (
+    AlreadyFramedError,
+    CyclicQuiverError,
+    ForkStartError,
+    IntegerOverflowError,
+)
 from redcycle.reddening import source_sequence
 
+import reference
 from conftest import random_abundant_acyclic, random_fork, random_quiver
 from reference import brute_canonical_form
 
@@ -178,6 +186,172 @@ def test_classify_and_source_sequence_match_the_restricting_oracle():
         else:
             assert source_sequence(q) == order, q
     assert all(hits.values()), hits
+
+
+def _with_twin(q: Quiver, k: int, w: int) -> Quiver:
+    """``q`` with a new vertex whose arrows to the others copy those of
+    mutable vertex ``k``, and ``w`` arrows from ``k`` to it."""
+    rows = q.rows()
+    src = list(range(q.rank)) + [q.mutable_labels.index(k)]
+    b = [[rows[i][j] for j in src] for i in src]
+    b[src[-1]][-1], b[-1][src[-1]] = w, -w
+    return Quiver(range(1, q.rank + 2), b)
+
+
+def _classify_mix(rng: random.Random) -> list[Quiver]:
+    """Random quivers of rank 3-6 at four weight caps, then forks, keys and
+    pre-forks, plus a copy of every third one on scattered labels."""
+    mix = [random_quiver(rng, 6, w, min_n=3) for w in (1, 2, 3, 5) for _ in range(750)]
+    for _ in range(150):
+        fork = random_fork(rng, max_n=5)
+        acyclic = random_abundant_acyclic(rng, max_n=5)
+        mix.append(fork)
+        mix.append(acyclic.mutate(rng.choice(acyclic.mutable_labels)))
+        # A twin of a fork vertex other than a return makes a pre-fork; a
+        # twin in an abundant acyclic quiver makes a key.
+        k = rng.choice([v for v in fork.mutable_labels if v not in classify(fork).fork_returns])
+        mix.append(_with_twin(fork, k, rng.randint(-2, 2)))
+        mix.append(_with_twin(acyclic, rng.choice(acyclic.mutable_labels), rng.randint(0, 3)))
+    return mix + [
+        q.relabeled(dict(zip(q.mutable_labels, rng.sample(range(1, 60), q.rank))))
+        for q in mix[::3]
+    ]
+
+
+def test_index_row_classify_matches_the_label_based_reference():
+    rng = random.Random(1601)
+    hits = {"is_fork": 0, "is_key": 0, "is_prefork": 0}
+    mix = _classify_mix(rng)
+    assert len(mix) >= 3000
+    for q in mix:
+        report = classify(q)
+        assert report == reference.classify(q), q
+        for field in hits:
+            hits[field] += getattr(report, field)
+        for p in (q, framed(q)):
+            assert is_acyclic(p) == reference.is_acyclic(p), p
+            assert is_abundant(p) == reference.is_abundant(p), p
+            order = reference.source_sequence(p)
+            if order is None:
+                with pytest.raises(CyclicQuiverError):
+                    source_sequence(p)
+            else:
+                assert source_sequence(p) == order, p
+    # Each branch of the report is reached, so the reference checks each.
+    assert all(count >= 100 for count in hits.values()), hits
+
+
+_DYNKIN_EDGES = {
+    "A4": [(1, 2), (2, 3), (3, 4)],
+    "A5": [(1, 2), (2, 3), (3, 4), (4, 5)],
+    "A6": [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)],
+    "D4": [(1, 2), (2, 3), (2, 4)],
+    "D5": [(1, 2), (2, 3), (3, 4), (3, 5)],
+    "D6": [(1, 2), (2, 3), (3, 4), (4, 5), (4, 6)],
+    "E6": [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)],
+}
+
+
+def _orientations(edges) -> list[Quiver]:
+    """Every orientation of a tree given by its edges."""
+    return [
+        Quiver.from_arrows(
+            range(1, len(edges) + 2),
+            [(b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips)],
+        )
+        for flips in itertools.product((False, True), repeat=len(edges))
+    ]
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and text of the library error
+    it raises: a walk that leaves the 64-bit range must raise the same error
+    at the same step as the reference."""
+    try:
+        return fn(*args)
+    except IntegerOverflowError as exc:
+        return type(exc), str(exc)
+
+
+# Each walk as lists of items, so that the order of the forms is compared.
+
+def _walk(q, budget):
+    result = enumerate_class(q, budget)
+    return list(result.forms.items()), result.exhausted
+
+
+def _reference_walk(q, budget):
+    forms, exhausted = reference.explore(q, budget)
+    return list(forms.items()), exhausted
+
+
+def _forkless(q, budget, discard):
+    report = forkless_explore(q, budget, discard)
+    return list(report.forms.items()), list(report.key_forms.items()), report.exhausted
+
+
+def _reference_forkless(q, budget, discard):
+    forms, key_forms, exhausted = reference.forkless_explore(q, budget, discard)
+    return list(forms.items()), list(key_forms.items()), exhausted
+
+
+def test_explore_shortcuts_keep_every_form_and_order():
+    # Every orientation of the Dynkin trees (the D types have twin leaves),
+    # seeded rank-3/4 quivers of weight <= 3, K' (whose walk leaves the
+    # 64-bit range) and A6 cut by its budget.
+    rng = random.Random(1607)
+    dynkin = [q for edges in _DYNKIN_EDGES.values() for q in _orientations(edges)]
+    seeded = [(random_quiver(rng, 4, 3, min_n=3), rng.choice((20, 60))) for _ in range(40)]
+    kprime = catalog_item("key_K_and_Kprime").quivers["Kprime"]
+    a6 = _orientations(_DYNKIN_EDGES["A6"])[5]
+    assert _walk(a6, 20)[1] is False
+    assert _outcome(_walk, kprime, 200)[0] is IntegerOverflowError
+    for q, budget in [(q, 1000) for q in dynkin] + seeded + [(kprime, 200), (a6, 20)]:
+        assert _outcome(_walk, q, budget) == _outcome(_reference_walk, q, budget), q
+    # The forkless walks: one orientation of each Dynkin tree, whose class
+    # holds no abundant pair, the seeded quivers, whose classes hold forks,
+    # keys and pre-forks, and a key whose forkless part leaves the 64-bit
+    # range (its pre-forkless part exhausts).
+    seen = {"cut": 0, "keys": 0, "overflow": 0}
+    firsts = [(_orientations(edges)[0], 1000) for edges in _DYNKIN_EDGES.values()]
+    key = (catalog_item("infinite_reduced_key").quivers["Q"], 10**5)
+    for (q, budget), discard in itertools.product(firsts + seeded + [key], (False, True)):
+        if classify(q).is_fork:
+            continue
+        got = _outcome(_forkless, q, budget, discard)
+        assert got == _outcome(_reference_forkless, q, budget, discard), q
+        if got[0] is IntegerOverflowError:
+            seen["overflow"] += 1
+        else:
+            seen["cut"] += not got[2]
+            seen["keys"] += bool(got[1])
+    assert all(seen.values()), seen
+
+
+def test_explore_computes_one_canonical_form_per_stored_state(monkeypatch):
+    # D6 with both short leaves pointing at their branch vertex: they are
+    # twins, and commuting mutations reach stored labeled quivers again.
+    q = Quiver.from_arrows(range(1, 7), [(1, 2), (2, 3), (3, 4), (5, 4), (6, 4)])
+    calls = {"library": [], "reference": []}
+    for module, name in ((importlib.import_module("redcycle.classify"), "library"),
+                         (reference, "reference")):
+        real = module.canonical_form
+
+        def counting(p, real=real, name=name):
+            calls[name].append(p.mutable_rows())
+            return real(p)
+
+        monkeypatch.setattr(module, "canonical_form", counting)
+    forms = enumerate_class(q, 1000).forms
+    want, _ = reference.explore(q, 1000)
+    assert list(forms.items()) == list(want.items())
+    assert len(calls["library"]) < len(calls["reference"]), calls
+    stored = [rep.mutable_rows() for rep in forms.values()]
+    assert all(calls["library"].count(rows) == 1 for rows in stored)
+    assert any(calls["reference"].count(rows) > 1 for rows in stored)
+    # Mutating at leaf 6 after its twin 5 gives an isomorphic quiver.
+    assert q.mutate(6).mutable_rows() in calls["reference"]
+    assert q.mutate(6).mutable_rows() not in calls["library"]
 
 
 def test_predicates_small_cases():

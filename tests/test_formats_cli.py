@@ -90,6 +90,20 @@ def test_loops_rejected_on_load(tmp_path, capsys):
     assert captured.err == "error: loop at vertex 1: quivers have no loops\n"
 
 
+@pytest.mark.parametrize("doc", [
+    {"vertices": [1, 1, 2], "arrows": [[1, 2]]},
+    {"vertices": [1, 2, 11, 11], "arrows": [[1, 2]], "frozen": [[1, 11]]},
+    {"labels": [1, 1, 2], "b_matrix": [[0, 0, 1], [0, 0, 1], [-1, -1, 0]]},
+], ids=["arrows", "arrows frozen", "b_matrix"])
+def test_repeated_vertex_is_malformed_in_both_file_shapes(tmp_path, capsys, doc):
+    # The arrows shape used to build its labels from a set, so a repeated
+    # vertex was merged and the quiver loaded.
+    with pytest.raises(FormatError, match="duplicate vertex labels"):
+        quiver_from_dict(doc)
+    assert main(["classify", "--in", _write(tmp_path, "q.json", doc)]) == 2
+    _assert_one_error_line(capsys, "duplicate vertex labels")
+
+
 def test_cli_cycle_verify_names_the_overflow_step(tmp_path, capsys):
     # A walk that leaves the 64-bit range gets a non-closing verdict (exit 1)
     # that names the step, not a malformed-input error.

@@ -188,19 +188,18 @@ def test_deep_search_is_not_bounded_by_recursion(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_cli_exits_141_without_traceback_when_the_pipe_closes(tmp_path):
-    # The reader takes 100 bytes of a megabytes-long report and closes the
-    # pipe, as ``| head -c 100`` does.
-    path = tmp_path / "point.json"
-    path.write_text(json.dumps({"vertices": [1], "arrows": []}))
+def _assert_closed_pipe_exits_141(argv, nbytes):
+    """Run the CLI on ``argv``, read ``nbytes`` of its output and close the
+    pipe, as ``| head -c nbytes`` does: the process must exit 141 with no
+    traceback."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "redcycle", "reddening-search", "--in", str(path), "--max-len", "3000", "--json"],
+        [sys.executable, "-m", "redcycle", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     try:
-        assert len(proc.stdout.read(100)) == 100
+        assert len(proc.stdout.read(nbytes)) == nbytes
         proc.stdout.close()
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=120) == 141
@@ -209,6 +208,26 @@ def test_cli_exits_141_without_traceback_when_the_pipe_closes(tmp_path):
         proc.wait()
         proc.stderr.close()
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_cli_exits_141_without_traceback_when_the_pipe_closes(tmp_path):
+    # The reader takes 100 bytes of a megabytes-long report.
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"vertices": [1], "arrows": []}))
+    _assert_closed_pipe_exits_141(
+        ["reddening-search", "--in", str(path), "--max-len", "3000", "--json"], 100
+    )
+
+
+def test_cli_text_output_exits_141_when_the_pipe_closes(tmp_path):
+    # The DOT text of a complete quiver on 300 vertices is about 0.7 MB.  It
+    # used to go out in one write, which a closed pipe cut short without an
+    # error, so the command exited 0.
+    n = 300
+    arrows = [[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"vertices": list(range(1, n + 1)), "arrows": arrows}))
+    _assert_closed_pipe_exits_141(["export-dot", "--in", str(path)], 10)
 
 
 def test_enumerate_class_a2():
