@@ -21,7 +21,7 @@ from operator import ne
 from typing import Callable, Sequence
 
 from .errors import AlreadyFramedError, ForkStartError, OutOfRangeError
-from .quiver import Quiver, _canonical_order
+from .quiver import Quiver, _as_int, _canonical_order
 
 #: Default node budget for bounded explorations.
 DEFAULT_BUDGET = 100_000
@@ -194,6 +194,7 @@ def explore(
     earlier row, or the entry vertex's row, is skipped: such twins share no
     arrow, swapping them is an automorphism, and the form is already known.
     """
+    node_budget = _as_int(node_budget)
     if node_budget < 1:
         raise OutOfRangeError(f"node budget must be >= 1, got {node_budget}")
     start = canonical_form(q)
@@ -257,6 +258,7 @@ def forkless_explore(
 
     Raises ForkStartError when the starting quiver is itself a fork.
     """
+    node_budget = _as_int(node_budget)
     start = classify(q)
     if start.is_fork:
         raise ForkStartError("starting quiver is a fork")

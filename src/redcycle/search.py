@@ -9,6 +9,22 @@ weights pass a guardrail is aborted and counted, not silently dropped: the
 mutation kernel checks each entry it grows as it writes it and raises at the
 first one over the guardrail, and that raise is one cut.  A search is
 *complete* within its length bound exactly when no branch was aborted.
+
+Finished subtrees are reused.  A framed state is fixed by its C-matrix,
+since ``B_t = C_t B_0 C_t^T`` (the tropical duality of Nakanishi and
+Zelevinsky, *On tropical dualities in cluster algebras*, 2012), and what a
+subtree finds and cuts depends only on its root state, on the remaining
+length and, under ``reduced_only``, on the vertex just mutated.  So those
+three make an exact key: a subtree met again under the same key finds the
+same suffixes with the same permutations and makes the same cuts, and the
+search splices in the suffixes of its first walk (a slice of the results,
+which all share one prefix length) instead of walking it again.  Order,
+permutations and the cut count are those of the full walk.  Only subtrees
+of some depth are memoized, up to a fixed number of entries, which keeps the
+lookups off the many shallow nodes and the memory small.  Nothing is
+memoized under ``prune_revisited``, where a subtree depends on the path to
+it; under ``first_only`` every stored subtree found nothing, since any find
+ends the search.
 """
 
 from __future__ import annotations
@@ -19,10 +35,15 @@ from .classify import DEFAULT_BUDGET, explore
 from .errors import OutOfRangeError
 from .framing import CMatrix, Color, _color, framed
 from .permutation import Permutation
-from .quiver import MutationSequence, Quiver, _mutated_rows
+from .quiver import MutationSequence, Quiver, _as_int, _mutated_rows
 
 #: Abort a search branch once any arrow multiplicity passes this bound.
 WEIGHT_GUARDRAIL = 2**40
+
+# Memoize a subtree only when this many steps remain below its root, and
+# store at most this many subtrees per search.
+_MEMO_MIN_DEPTH = 4
+_MEMO_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -71,6 +92,8 @@ def search_reddening(
         contains a removable loop).  Off by default, since it changes which
         sequences are reported, not just how fast.
     """
+    max_len = _as_int(max_len)
+    weight_limit = _as_int(weight_limit)
     if max_len < 0:
         raise OutOfRangeError(f"max_len must be >= 0, got {max_len}")
     start = framed(q)
@@ -86,15 +109,20 @@ def search_reddening(
     if not mutable:  # only at rank 0 is the start all red: the empty sequence is reddening
         found.append(((), Permutation.identity()))
     overflow = 0
+    # Subtree key -> (start, end, cuts): found[start:end] are its finds and
+    # cuts its guardrail cuts.
+    memo: dict[tuple, tuple[int, int, int]] = {}
     # One frame per state on the current path: its rows, its sequence, its
-    # key (None unless prune_revisited, and then never looked up) and the
-    # vertices not yet tried from it.  Trying vertices in ascending order
-    # makes this a preorder walk, which emits sequences in lexicographic order.
+    # mark and the vertices not yet tried from it.  The mark is the state's
+    # path key under prune_revisited (never looked up), else None or, for a
+    # memoized subtree, (key, len(found), overflow) when it was entered.
+    # Trying vertices in ascending order makes this a preorder walk, which
+    # emits sequences in lexicographic order.
     key0 = rows0 if prune_revisited else None
     stack = [(rows0, (), key0, enumerate(mutable))] if max_len else []
     path = {key0}
     while stack:
-        rows, seq, key, untried = stack[-1]
+        rows, seq, mark, untried = stack[-1]
         for i, v in untried:
             if reduced_only and seq and v == seq[-1]:
                 continue
@@ -108,22 +136,43 @@ def search_reddening(
             except OverflowError:
                 overflow += 1
                 continue
-            child_key = tuple(child) if prune_revisited else None
-            if prune_revisited and child_key in path:
-                continue
+            child_mark = None
+            if prune_revisited:
+                child_mark = tuple(child)
+                if child_mark in path:
+                    continue
             child_seq = seq + (v,)
             if all(row[c] <= 0 for row in child for c in cols):  # all red
                 red = CMatrix(mutable, tuple([row[n:] for row in child]))
                 found.append((child_seq, red.reddening_permutation()))
                 if first_only:
                     return SearchResult(sequences=tuple(found), overflow_branches=overflow)
-            if len(child_seq) < max_len:
-                path.add(child_key)
-                stack.append((child, child_seq, child_key, enumerate(mutable)))
+            depth = len(child_seq)
+            if depth < max_len:
+                if prune_revisited:
+                    path.add(child_mark)
+                elif max_len - depth >= _MEMO_MIN_DEPTH:
+                    key = (
+                        tuple([x for row in child for x in row[n:]]),
+                        i if reduced_only else 0,
+                        max_len - depth,
+                    )
+                    hit = memo.get(key)
+                    if hit is not None:
+                        start_at, end, cuts = hit
+                        found.extend([(child_seq + s[depth:], p) for s, p in found[start_at:end]])
+                        overflow += cuts
+                        continue
+                    child_mark = (key, len(found), overflow)
+                stack.append((child, child_seq, child_mark, enumerate(mutable)))
                 break
         else:
             stack.pop()
-            path.discard(key)
+            if prune_revisited:
+                path.discard(mark)
+            elif mark is not None and len(memo) < _MEMO_CAP:
+                key, start_at, overflow_at = mark
+                memo[key] = (start_at, len(found), overflow - overflow_at)
     return SearchResult(sequences=tuple(found), overflow_branches=overflow)
 
 

@@ -41,8 +41,12 @@ def random_abundant_acyclic(rng: random.Random, max_n: int = 5, max_weight: int 
 
 def random_fork(rng: random.Random, max_n: int = 5) -> Quiver:
     """A random fork, produced by mutating an abundant acyclic quiver at an
-    interior vertex (every such mutation gives a fork or abundant acyclic)."""
-    while True:
+    interior vertex (every such mutation gives a fork or abundant acyclic).
+
+    Raises AssertionError when 1,000 mutations give no fork, so a
+    ``classify`` that never reports one fails the test instead of hanging it.
+    """
+    for _ in range(1000):
         q = random_abundant_acyclic(rng, max_n=max_n)
         if q.rank < 3:
             continue
@@ -51,6 +55,7 @@ def random_fork(rng: random.Random, max_n: int = 5) -> Quiver:
         f = q.mutate(rng.choice(candidates))
         if classify(f).is_fork:
             return f
+    raise AssertionError("no fork in 1,000 attempts")
 
 
 def random_sequence(rng: random.Random, q: Quiver, max_len: int, reduced: bool = False) -> tuple[int, ...]:

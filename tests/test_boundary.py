@@ -13,7 +13,19 @@ import random
 
 import pytest
 
-from redcycle import Permutation, Quiver, c_matrix, catalog_item, coframed, framed, verify_cycle
+from redcycle import (
+    Permutation,
+    Quiver,
+    c_matrix,
+    catalog_item,
+    coframed,
+    enumerate_class,
+    forkless_explore,
+    framed,
+    search_reddening,
+    verify_cycle,
+)
+from redcycle.classify import explore
 from redcycle.catalog import grid_quiver, grid_reddening
 from redcycle.errors import IntegerOverflowError
 from redcycle.formats import load_quiver
@@ -214,3 +226,35 @@ def test_three_torus_splice_overflow_message_is_unchanged():
     with pytest.raises(IntegerOverflowError) as info:
         verify_cycle(item.quivers["Q"], item.sequences["stated_cycle"])
     assert str(info.value) == "arrow multiplicity exceeds 64-bit range at (2, 8), at sequence index 49"
+
+
+class _Index:
+    """An integer-like value that is not an int: only ``__index__``."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+def test_integer_bounds_are_read_as_integers():
+    # A float length bound used to be compared as a float: search_reddening
+    # (A2, 2.5) returned the length-3 sequence (2, 1, 2), and a float budget
+    # let enumerate_class keep one form more than its integer part.
+    a2 = Quiver.from_arrows([1, 2], [(1, 2)])
+    a3 = Quiver.from_arrows([1, 2, 3], [(1, 2), (2, 3)])
+    for bad in (2.5, True, False, "2"):
+        with pytest.raises(TypeError):
+            search_reddening(a2, bad)
+        with pytest.raises(TypeError):
+            search_reddening(a2, 3, weight_limit=bad)
+        for explorer in (enumerate_class, forkless_explore, explore):
+            with pytest.raises(TypeError):
+                explorer(a3, bad)
+    assert search_reddening(a2, _Index(2)).sequences == search_reddening(a2, 2).sequences
+    kronecker = Quiver.from_arrows([1, 2], [(1, 2, 2)])
+    cut = search_reddening(kronecker, 8, weight_limit=_Index(3))
+    assert cut == search_reddening(kronecker, 8, weight_limit=3) and cut.overflow_branches > 0
+    assert len(enumerate_class(a3, _Index(2))) == 2
+    assert len(forkless_explore(a3, _Index(2)).forms) == 2

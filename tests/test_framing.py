@@ -25,7 +25,7 @@ from redcycle.errors import (
 from redcycle.framing import read_c_matrix
 
 from conftest import random_quiver, random_sequence
-from reference import determinant
+from reference import determinant, framed_walk
 
 
 def path3():
@@ -175,6 +175,34 @@ def test_equal_c_matrices_give_equal_framed_quivers():
         padded = seq + (v, v)
         assert c_matrix(q, seq).rows == c_matrix(q, padded).rows
         assert framed(q).mutate_seq(seq) == framed(q).mutate_seq(padded)
+
+
+def test_c_matrix_fixes_the_exchange_matrix_along_framed_walks():
+    # B_t = C_t B_0 C_t^T, the tropical duality of Nakanishi-Zelevinsky, in
+    # this convention: C's rows are the right half of the mutable rows.  The
+    # reddening search keys reused subtrees on C alone, which rests on this.
+    # The transposed product C_t^T B_0 C_t fails on some walks, so the test
+    # tells the two conventions apart.
+    def product(x, b, y):
+        n = len(b)
+        return [
+            [sum(x[i][k] * b[k][m] * y[m][j] for k in range(n) for m in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+
+    rng = random.Random(83)
+    transposed_fails = 0
+    for _ in range(200):
+        q = random_quiver(rng, min_n=2, max_n=5, max_weight=2)
+        b0, n = q.rows(), q.rank
+        seq = random_sequence(rng, q, 8)
+        idx = [q.mutable_labels.index(v) for v in seq]
+        for state, (rows, c) in zip(framed(q).walk(seq), framed_walk(b0, idx)):
+            ct = [list(col) for col in zip(*c)]
+            assert [row[:n] for row in rows[:n]] == product(c, b0, ct)
+            assert [list(row[n:]) for row in state.mutable_rows()] == c
+        transposed_fails += [row[:n] for row in rows[:n]] != product(ct, b0, c)
+    assert transposed_fails > 0
 
 
 def test_c_matrices_are_unimodular():

@@ -15,11 +15,13 @@ from redcycle import (
     box_quiver,
     dreaded_torus,
     enumerate_class,
+    grid_quiver,
     is_maximal_green,
     is_reddening,
     search_reddening,
 )
 
+import redcycle.search as search_module
 from redcycle.cli import main
 
 from conftest import random_quiver
@@ -140,14 +142,21 @@ def test_search_matches_brute_force_enumeration():
 
 def test_search_matches_recursive_reference():
     # Every flag combination, every length bound up to 6, at the default
-    # guardrail and at one low enough that branches are cut.
+    # guardrail and at one low enough that branches are cut.  Subtrees are
+    # memoized only with 4 or more steps below them, so the bounds 7 and 8
+    # reuse many; rank2(3)'s weights grow, so the low guardrail cuts inside
+    # memoized subtrees.
     rng = random.Random(211)
     flags = ("reduced_only", "green_only", "first_only", "prune_revisited")
+    cases = [
+        (random_quiver(rng, min_n=rank, max_n=rank, max_weight=2), range(7))
+        for rank in (1, 2, 3, 4)
+    ]
+    cases += [(rank2(1), (7, 8)), (rank2(3), (7, 8)), (cases[2][0], (7, 8))]
     found = cut = 0
-    for rank in (1, 2, 3, 4):
-        q = random_quiver(rng, min_n=rank, max_n=rank, max_weight=2)
+    for q, lengths in cases:
         for values in itertools.product((False, True), repeat=len(flags)):
-            for max_len in range(7):
+            for max_len in lengths:
                 for limit in ({}, {"weight_limit": 2**6}):
                     kwargs = dict(zip(flags, values), **limit)
                     result = search_reddening(q, max_len, **kwargs)
@@ -157,6 +166,50 @@ def test_search_matches_recursive_reference():
                     found += len(result)
                     cut += result.overflow_branches
     assert found > 0 and cut > 0
+
+
+def _counted_search(monkeypatch, q, max_len, cap=None, **kwargs):
+    """``search_reddening`` with its kernel calls counted, and its memo
+    capped at ``cap`` entries when given (0 memoizes nothing)."""
+    calls = 0
+    kernel = search_module._mutated_rows
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search_module, "_mutated_rows", counting)
+        if cap is not None:
+            patch.setattr(search_module, "_MEMO_CAP", cap)
+        result = search_reddening(q, max_len, **kwargs)
+    return (result.sequences, result.overflow_branches), calls
+
+
+def test_memo_skips_kernel_calls_with_the_same_result(monkeypatch):
+    # The plain tree walk (no memo entries) makes one kernel call per node.
+    box = box_quiver(2, 2)
+    plain, nodes = _counted_search(monkeypatch, box, 8, cap=0, reduced_only=True)
+    memoized, calls = _counted_search(monkeypatch, box, 8, reduced_only=True)
+    assert memoized == plain
+    assert plain[1] > 0  # the guardrail cuts, inside memoized subtrees too
+    assert calls < nodes
+
+
+def test_memo_cap_stops_insertion_and_keeps_the_result(monkeypatch):
+    # A cap of 16 fills early: lookups go on and insertion stops, so the
+    # walk makes more kernel calls than with the full memo and fewer than
+    # with none (the plain tree walk), and the result is the same.
+    q = grid_quiver(2, 2)
+    for kwargs, max_len in (({"reduced_only": True}, 8), ({"green_only": True}, 8), ({}, 7)):
+        plain, nodes = _counted_search(monkeypatch, q, max_len, cap=0, **kwargs)
+        capped, some = _counted_search(monkeypatch, q, max_len, cap=16, **kwargs)
+        full, fewest = _counted_search(monkeypatch, q, max_len, **kwargs)
+        assert plain == capped == full, kwargs
+        assert fewest < some < nodes, kwargs
+        if kwargs == {"green_only": True}:
+            assert full[0] and full == reference_search_reddening(q, max_len, **kwargs)
 
 
 def test_guardrail_cuts_every_child_of_a_start_state_over_the_limit():
