@@ -236,14 +236,8 @@ _S_BULLET = (1, 3, 5, 7, 9, 11)
 _S_CIRC = (2, 4, 6, 8, 10, 12)
 _S_HALF_FINITE = _S_CIRC + _S_BULLET + _S_CIRC + _S_BULLET
 
-_TORUS_ARROWS = [(3, 4, 2), (1, 3, 1), (2, 3, 1), (4, 1, 1), (1, 2, 1), (4, 2, 1)]
-
-
 def _torus_at(offset: int) -> Quiver:
-    return Quiver.from_arrows(
-        [v + offset for v in (1, 2, 3, 4)],
-        [(s + offset, d + offset, m) for s, d, m in _TORUS_ARROWS],
-    )
+    return dreaded_torus(1).relabeled({v: v + offset for v in (1, 2, 3, 4)})
 
 
 _TORUS_MGS = (1, 3, 4, 2, 1, 3)

@@ -39,8 +39,8 @@ from .extcycles import (
 )
 from .formats import (
     dump_quiver,
+    load_matrix,
     load_quiver,
-    parse_matrix,
     parse_sequence,
     quiver_to_dict,
     to_dot,
@@ -65,16 +65,6 @@ def _fmt_perm(sigma: Permutation | None) -> str:
 def _read_sequence(args: argparse.Namespace) -> tuple[int, ...]:
     seq = parse_sequence(args.seq)
     return reduce_sequence(seq) if args.reduce else seq
-
-
-def _load_matrix(arg: str) -> tuple[tuple[int, ...], ...]:
-    try:
-        if arg.lstrip().startswith("["):
-            return parse_matrix(json.loads(arg))
-        with open(arg, "r", encoding="utf-8") as fh:
-            return parse_matrix(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"bad extension matrix {arg!r}: {exc}") from None
 
 
 def _verdict(compute: Callable[[], dict], negative: dict) -> dict:
@@ -139,7 +129,7 @@ def _cmd_search(args) -> Report:
 
 
 def _cmd_cycle_build(args) -> Report:
-    t, h, a = load_quiver(args.t), load_quiver(args.h), _load_matrix(args.a)
+    t, h, a = load_quiver(args.t), load_quiver(args.h), load_matrix(args.a)
     if args.mode == "acyclic":
         q, seq = build_acyclic_cycle(t, parse_sequence(args.m), h, parse_sequence(args.n), a)
     else:
@@ -197,7 +187,7 @@ def _cmd_enumerate(args) -> Report:
 
 
 def _cmd_distinguishing(args) -> Report:
-    t, seq, a = load_quiver(args.infile), _read_sequence(args), _load_matrix(args.a)
+    t, seq, a = load_quiver(args.infile), _read_sequence(args), load_matrix(args.a)
     doc = _verdict(
         lambda: {"distinguishing": is_distinguishing(t, seq, a)}, {"distinguishing": False}
     )
@@ -320,8 +310,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         # A large write that a closed pipe cuts short raises nothing, so no
         # output goes out in one write: the next one raises.
         if doc is None and args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(lines)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(lines)
+            except OSError as exc:
+                raise FormatError(f"cannot write {args.out}: {exc}") from None
         elif doc is None:
             sys.stdout.writelines(lines[i : i + 65536] for i in range(0, len(lines), 65536))
         elif args.json:

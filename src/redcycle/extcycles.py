@@ -34,7 +34,7 @@ from .permutation import Permutation
 from .quiver import (
     MutationSequence,
     Quiver,
-    _as_int,
+    _as_matrix,
     encodings,
     find_isomorphism,
     inverse_sequence,
@@ -44,10 +44,6 @@ from .quiver import (
 from .reddening import is_reddening, source_sequence
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def _as_matrix(a: Sequence[Sequence[int]]) -> Matrix:
-    return tuple([tuple([_as_int(x) for x in row]) for row in a])
 
 
 @dataclass(frozen=True)
@@ -63,20 +59,18 @@ class ExtensionSpec:
     h: Quiver
     a: Matrix
 
-    def __init__(self, t: Quiver, h: Quiver, a: Sequence[Sequence[int]]):
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "a", _as_matrix(a))
-        if t.is_framed or h.is_framed:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a", _as_matrix(self.a))
+        if self.t.is_framed or self.h.is_framed:
             raise AlreadyFramedError("extension factors must be unframed")
-        shared = set(t.labels) & set(h.labels)
+        shared = set(self.t.labels) & set(self.h.labels)
         if shared:
             raise LabelCollisionError(f"label sets overlap: {sorted(shared)}")
-        shape = f"extension matrix must be {t.rank}x{h.rank}"
-        if len(self.a) != t.rank:
+        shape = f"extension matrix must be {self.t.rank}x{self.h.rank}"
+        if len(self.a) != self.t.rank:
             raise ShapeError(f"{shape}: {len(self.a)} row(s) given")
         for i, row in enumerate(self.a, 1):
-            if len(row) != h.rank:
+            if len(row) != self.h.rank:
                 raise ShapeError(f"{shape}: row {i} has length {len(row)}")
         if any(x < 0 for row in self.a for x in row):
             raise NegativeEntryError("extension matrix entries must be >= 0")
@@ -176,6 +170,23 @@ def _checked(q: Quiver, seq: MutationSequence) -> tuple[Quiver, MutationSequence
     return q, seq
 
 
+def _build(t, m_t, h, m_h, a, identity_only: bool) -> tuple[Quiver, MutationSequence]:
+    rho = _require_reddening(t, m_t, "T")
+    sigma = _require_reddening(h, m_h, "H")
+    if identity_only:
+        for side, perm in (("T", rho), ("H", sigma)):
+            if not perm.is_identity:
+                raise NonIdentityPermutationError(
+                    f"{side} sequence has associated permutation {perm}, not the identity"
+                )
+    k = lcm(rho.order, sigma.order)
+    seq: tuple[int, ...] = ()
+    for i in range(k):
+        seq += (rho**i).map_sequence(m_t) + (sigma**i).map_sequence(m_h)
+    q = triangular_extension(ExtensionSpec(t, h, a))
+    return _checked(q, seq)
+
+
 def build_cycle_equal(
     t: Quiver,
     m_t: Sequence[int],
@@ -189,15 +200,7 @@ def build_cycle_equal(
     whose permutations are not the identity are rejected; use
     :func:`build_cycle_general` for those.
     """
-    rho = _require_reddening(t, m_t, "T")
-    sigma = _require_reddening(h, m_h, "H")
-    for side, perm in (("T", rho), ("H", sigma)):
-        if not perm.is_identity:
-            raise NonIdentityPermutationError(
-                f"{side} sequence has associated permutation {perm}, not the identity"
-            )
-    q = triangular_extension(ExtensionSpec(t, h, a))
-    return _checked(q, tuple(m_t) + tuple(m_h))
+    return _build(t, m_t, h, m_h, a, True)
 
 
 def build_cycle_general(
@@ -216,14 +219,7 @@ def build_cycle_general(
     closes the cycle, where k is the smallest exponent killing both
     permutations (their orders' lcm).
     """
-    rho = _require_reddening(t, m_t, "T")
-    sigma = _require_reddening(h, m_h, "H")
-    k = lcm(rho.order, sigma.order)
-    seq: tuple[int, ...] = ()
-    for i in range(k):
-        seq += (rho**i).map_sequence(m_t) + (sigma**i).map_sequence(m_h)
-    q = triangular_extension(ExtensionSpec(t, h, a))
-    return _checked(q, seq)
+    return _build(t, m_t, h, m_h, a, False)
 
 
 def build_acyclic_cycle(

@@ -20,32 +20,28 @@ import json
 from typing import Any
 
 from .errors import FormatError
-from .quiver import MutationSequence, Quiver, _as_int
+from .quiver import MutationSequence, Quiver, _as_int, _as_matrix
 
 
 def quiver_from_dict(data: Any) -> Quiver:
     """Parse either accepted JSON shape into a quiver."""
     if not isinstance(data, dict):
         raise FormatError("quiver document must be a JSON object")
-    frozen_pairs = data.get("frozen", [])
     try:
-        pairs = [(_as_int(m), _as_int(f)) for m, f in frozen_pairs]
+        pairs = [(_as_int(m), _as_int(f)) for m, f in data.get("frozen", [])]
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad frozen pairs: {exc}") from None
     try:
         if "arrows" in data or "vertices" in data:
             vertices = [_as_int(v) for v in data["vertices"]]
-            arrows = [tuple(_as_int(x) for x in arrow) for arrow in data.get("arrows", [])]
+            arrows = _as_matrix(data.get("arrows", []))
             if any(len(a) not in (2, 3) for a in arrows):
                 raise FormatError("arrows must be [src, dst] or [src, dst, mult]")
             return Quiver.from_arrows(vertices, arrows, frozen_pairs=pairs)
         if "b_matrix" in data:
             labels = [_as_int(v) for v in data["labels"]]
-            rows = [[_as_int(x) for x in row] for row in data["b_matrix"]]
             mutable = [v for v in labels if v not in {f for _, f in pairs}]
-            return Quiver(mutable, rows, labels, pairs)
-    except FormatError:
-        raise
+            return Quiver(mutable, data["b_matrix"], labels, pairs)
     except KeyError as exc:
         raise FormatError(f"missing field {exc.args[0]!r}") from None
     except Exception as exc:
@@ -64,15 +60,31 @@ def quiver_to_dict(q: Quiver) -> dict:
     return doc
 
 
-def load_quiver(path: str) -> Quiver:
+def _read_json(name: str, source: str, inline: bool) -> Any:
+    """The JSON document ``source``, or unless ``inline`` the one in the file
+    ``source``.  Every way a read can fail (no file, bytes that are not UTF-8,
+    bad JSON, nesting too deep) is one FormatError that names ``name``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        if not inline:
+            with open(source, "r", encoding="utf-8") as fh:
+                source = fh.read()
+        return json.loads(source)
     except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from None
-    return quiver_from_dict(data)
+        raise FormatError(f"cannot read {name}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise FormatError(f"{name}: invalid JSON: {exc}") from None
+
+
+def load_quiver(path: str) -> Quiver:
+    return quiver_from_dict(_read_json(path, path, False))
+
+
+def load_matrix(arg: str) -> tuple[tuple[int, ...], ...]:
+    """An extension matrix: inline JSON when ``arg`` starts with ``[``, else
+    the path of a file that holds it."""
+    inline = arg.lstrip().startswith("[")
+    name = "extension matrix" if inline else f"extension matrix {arg}"
+    return parse_matrix(_read_json(name, arg, inline))
 
 
 def dump_quiver(q: Quiver) -> str:
@@ -93,7 +105,7 @@ def parse_sequence(text: str) -> MutationSequence:
 def parse_matrix(data: Any) -> tuple[tuple[int, ...], ...]:
     """An integer matrix given as a JSON list of rows."""
     try:
-        return tuple(tuple(_as_int(x) for x in row) for row in data)
+        return _as_matrix(data)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad matrix: {exc}") from None
 

@@ -60,6 +60,11 @@ def _as_int(x: object) -> int:
     return operator.index(x)
 
 
+def _as_matrix(rows: Iterable[Iterable[object]]) -> tuple[tuple[int, ...], ...]:
+    """Every entry through :func:`_as_int`, row by row, as tuples."""
+    return tuple([tuple([_as_int(x) for x in row]) for row in rows])
+
+
 def reduce_sequence(seq: Iterable[int]) -> MutationSequence:
     """Cancel adjacent duplicate entries until none remain (stack algorithm).
 
@@ -150,7 +155,7 @@ class Quiver:
         frozen = tuple(sorted(f for _, f in self._frozen_pairs))
         self._labels = self._mutable + frozen
         self._index = {v: i for i, v in enumerate(self._labels)}
-        self._rows = tuple([tuple([_as_int(x) for x in row]) for row in rows])
+        self._rows = _as_matrix(rows)
         self._validate(frozen, self._labels if labels is None else tuple(labels))
 
     def _validate(self, frozen: tuple[int, ...], labels: tuple[int, ...]) -> None:

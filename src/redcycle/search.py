@@ -102,9 +102,15 @@ def search_reddening(
     cols = tuple(range(n, 2 * n))  # the frame's columns, where C sits
     rows0 = start.mutable_rows()
     # A child passes the guardrail when the entries its mutation grew do
-    # (every other |entry| is its parent's), unless the start state itself
-    # is over the limit: then no child can pass.
-    start_over = any(abs(x) > weight_limit for row in rows0 for x in row)
+    # (every other |entry| is its parent's).  A start over it has all of its
+    # n children cut: its C is the identity, so every vertex is green.
+    if max_len and any(abs(x) > weight_limit for row in rows0 for x in row):
+        return SearchResult(sequences=(), overflow_branches=n)
+
+    def c_key(rows) -> tuple[int, ...]:
+        """The flattened C-matrix, which fixes the framed state."""
+        return tuple([x for row in rows for x in row[n:]])
+
     found: list[tuple[MutationSequence, Permutation]] = []
     if not mutable:  # only at rank 0 is the start all red: the empty sequence is reddening
         found.append(((), Permutation.identity()))
@@ -118,7 +124,7 @@ def search_reddening(
     # memoized subtree, (key, len(found), overflow) when it was entered.
     # Trying vertices in ascending order makes this a preorder walk, which
     # emits sequences in lexicographic order.
-    key0 = rows0 if prune_revisited else None
+    key0 = c_key(rows0) if prune_revisited else None
     stack = [(rows0, (), key0, enumerate(mutable))] if max_len else []
     path = {key0}
     while stack:
@@ -128,9 +134,6 @@ def search_reddening(
                 continue
             if green_only and _color(rows[i][n:], v) is not Color.GREEN:
                 continue
-            if start_over:
-                overflow += 1
-                continue
             try:
                 child = _mutated_rows(rows, i, weight_limit)
             except OverflowError:
@@ -138,7 +141,7 @@ def search_reddening(
                 continue
             child_mark = None
             if prune_revisited:
-                child_mark = tuple(child)
+                child_mark = c_key(child)
                 if child_mark in path:
                     continue
             child_seq = seq + (v,)
@@ -152,11 +155,7 @@ def search_reddening(
                 if prune_revisited:
                     path.add(child_mark)
                 elif max_len - depth >= _MEMO_MIN_DEPTH:
-                    key = (
-                        tuple([x for row in child for x in row[n:]]),
-                        i if reduced_only else 0,
-                        max_len - depth,
-                    )
+                    key = (c_key(child), i if reduced_only else 0, max_len - depth)
                     hit = memo.get(key)
                     if hit is not None:
                         start_at, end, cuts = hit

@@ -33,6 +33,7 @@ from redcycle.errors import (
     NonIdentityPermutationError,
     NotReddeningError,
     RedcycleError,
+    ShapeError,
 )
 
 from conftest import random_abundant_acyclic, random_sequence
@@ -149,6 +150,11 @@ def test_build_cycle_equal_fig1():
     assert seq == item.sequences["cycle"]
     report = verify_cycle(q, seq)
     assert report.closes_equal and report.simple and report.length == 10
+    # Identity permutations make the general sequence m_t . m_h too.
+    assert build_cycle_general(
+        item.quivers["t"], item.sequences["m_t"],
+        item.quivers["h"], item.sequences["m_h"], item.matrices["a"],
+    ) == (q, seq)
 
 
 def test_build_cycle_equal_rejects_nonidentity_permutations():
@@ -165,6 +171,44 @@ def test_build_cycle_equal_rejects_non_reddening():
     h = Quiver.from_arrows([5, 6], [(5, 6)])
     with pytest.raises(NotReddeningError):
         build_cycle_equal(t, (1,), h, (5, 6), ((1, 0), (0, 0)))
+
+
+# Rules the builders check, in order: T reddening, H reddening, T identity,
+# H identity (build_cycle_equal only), then the extension's shape.
+_T, _H = Quiver.from_arrows([1, 2], [(1, 2)]), Quiver.from_arrows([5, 6], [(5, 6)])
+_BREAKS = {
+    "T not reddening": {"m_t": (1,)},
+    "H not reddening": {"m_h": (5,)},
+    "T not identity": {"m_t": (2, 1, 2)},
+    "H not identity": {"m_h": (6, 5, 6)},
+    "bad shape": {"a": ((1,),)},
+}
+_FIRST_ERROR = {
+    "T not reddening": (NotReddeningError, r"^T sequence \(1,\) is not reddening$"),
+    "H not reddening": (NotReddeningError, r"^H sequence \(5,\) is not reddening$"),
+    "T not identity": (NonIdentityPermutationError, "^T sequence has associated permutation"),
+    "H not identity": (NonIdentityPermutationError, "^H sequence has associated permutation"),
+    "bad shape": (ShapeError, r"^extension matrix must be 2x2: 1 row\(s\) given$"),
+}
+
+
+@pytest.mark.parametrize("build", [build_cycle_equal, build_cycle_general])
+@pytest.mark.parametrize("first, second", [
+    (a, b) for i, a in enumerate(_BREAKS) for b in list(_BREAKS)[i + 1:]
+    if not _BREAKS[a].keys() & _BREAKS[b].keys()  # each sets its own argument
+])
+def test_builders_report_the_first_broken_rule(build, first, second):
+    args = {"t": _T, "m_t": (1, 2), "h": _H, "m_h": (5, 6), "a": ((0, 0), (0, 0))}
+    args.update(_BREAKS[first])
+    args.update(_BREAKS[second])
+    # build_cycle_general takes any permutation.
+    rules = [r for r in (first, second) if build is build_cycle_equal or "identity" not in r]
+    if not rules:
+        assert verify_cycle(*build(**args)).closes_equal
+        return
+    error, message = _FIRST_ERROR[rules[0]]
+    with pytest.raises(error, match=message):
+        build(**args)
 
 
 def test_build_cycle_equal_abundant_acyclic_rss():

@@ -557,3 +557,155 @@ def test_cli_rank_zero_quiver_gets_a_report(tmp_path, capsys):
             assert "Traceback" not in captured.err
             if json_flag:
                 json.loads(captured.out)
+
+
+# -- malformed input: every command that reads a file or a matrix ------------
+
+A2 = {"vertices": [1, 2], "arrows": [[1, 2]]}
+A2_ON_5_6 = {"vertices": [5, 6], "arrows": [[5, 6]]}
+DEEP = "[" * 100_000 + "]" * 100_000
+
+# Each command that reads a quiver, with {q} in the slot under test.  Those
+# marked True need an unframed quiver there.
+READS_A_QUIVER = [
+    (["mutate", "--in", "{q}", "--seq", "1"], False),
+    (["cmatrix", "--in", "{q}", "--seq", "1"], True),
+    (["reddening-verify", "--in", "{q}", "--seq", "1,2"], True),
+    (["reddening-verify", "--in", "{q}", "--seq", "1,2", "--green"], True),
+    (["reddening-search", "--in", "{q}", "--max-len", "2"], True),
+    (["mgs-search", "--in", "{q}", "--max-len", "2"], True),
+    (["cycle-verify", "--in", "{q}", "--seq", "1,2"], False),
+    (["classify", "--in", "{q}"], True),
+    (["forkless", "--in", "{q}"], True),
+    (["enumerate", "--in", "{q}"], True),
+    (["export-dot", "--in", "{q}"], False),
+    (["distinguishing", "--in", "{q}", "--seq", "1", "--a", "[[1],[1]]"], True),
+    (["cycle-build", "general", "--t", "{q}", "--h", "{h}", "--mt", "1,2", "--mh", "5,6",
+      "--a", "[[0,0],[0,0]]"], True),
+    (["cycle-build", "equal", "--t", "{h}", "--h", "{q}", "--mt", "5,6", "--mh", "1,2",
+      "--a", "[[0,0],[0,0]]"], True),
+]
+
+# Each command that reads an extension matrix, with {a} in its slot.
+READS_A_MATRIX = [
+    ["distinguishing", "--in", "{t}", "--seq", "1", "--a", "{a}"],
+    ["cycle-build", "general", "--t", "{t}", "--h", "{h}", "--mt", "1,2", "--mh", "5,6",
+     "--a", "{a}"],
+    ["cycle-build", "acyclic", "--t", "{t}", "--h", "{h}", "--a", "{a}"],
+]
+
+BAD_QUIVERS = {
+    "not UTF-8": b"\xff\xfe{",
+    "truncated": b'{"vertices": [1, 2], "arr',
+    "deep": DEEP.encode(),
+    "an array": b"[[0, 1], [-1, 0]]",
+    "missing field": b'{"b_matrix": [[0]]}',
+    "float": b'{"vertices": [1, 2], "arrows": [[1, 2, 1.5]]}',
+    "boolean": b'{"labels": [1, 2], "b_matrix": [[0, true], [-1, 0]]}',
+    "5,000 digits": b'{"vertices": [1, 2], "arrows": [[1, 2, 1' + b"0" * 5000 + b"]]}",
+}
+
+BAD_MATRICES = {
+    "not UTF-8": b"\xff\xfe[",
+    "truncated": b"[[1], [",
+    "deep": DEEP.encode(),
+    "an object": b'{"rows": [[1], [1]]}',
+    "float": b"[[1.5], [1]]",
+    "boolean": b"[[true], [1]]",
+}
+
+
+def test_cli_malformed_input_sweep(tmp_path, capsys):
+    # Every way a quiver file or an extension matrix can be malformed exits
+    # 2 with one error line, whichever command reads it.
+    paths = {"missing file": str(tmp_path / "missing.json"), "directory": str(tmp_path)}
+    for label, data in BAD_QUIVERS.items():
+        (tmp_path / f"q {label}.json").write_bytes(data)
+        paths[label] = str(tmp_path / f"q {label}.json")
+    framed_a2 = _write(tmp_path, "framed.json", quiver_to_dict(framed(Quiver.from_arrows(
+        [1, 2], [(1, 2)]))))
+    good = {"t": _write(tmp_path, "a2.json", A2), "h": _write(tmp_path, "h.json", A2_ON_5_6)}
+    cases = []
+    for argv, unframed in READS_A_QUIVER:
+        for label, path in paths.items():
+            cases.append((label, [arg.format(q=path, **good) for arg in argv]))
+        if unframed:
+            cases.append(("framed", [arg.format(q=framed_a2, **good) for arg in argv]))
+    matrices = {"missing file": paths["missing file"], "directory": paths["directory"],
+                "inline deep": "[" * 100_000, "inline truncated": "[[1], [",
+                "inline float": "[[1.5], [1]]", "inline boolean": "[[1], [false]]"}
+    for label, data in BAD_MATRICES.items():
+        (tmp_path / f"a {label}.json").write_bytes(data)
+        matrices[label] = str(tmp_path / f"a {label}.json")
+    for argv in READS_A_MATRIX:
+        for label, a in matrices.items():
+            cases.append((f"--a {label}", [arg.format(a=a, **good) for arg in argv]))
+    for command in (["mutate", "--seq", "1"], ["export-dot"]):
+        for out in (str(tmp_path / "missing" / "out.txt"), str(tmp_path)):
+            cases.append(("--out", command + ["--in", good["t"], "--out", out]))
+
+    wrong = []
+    for label, argv in cases:
+        status = main(argv)
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        if not (status == 2 and captured.out == "" and len(lines) == 1
+                and lines[0].startswith("error: ") and "Traceback" not in captured.err):
+            wrong.append((label, argv[0], status, captured.err[:200]))
+    assert wrong == []
+
+
+def test_cli_read_errors_name_what_was_read(tmp_path, capsys):
+    a2 = _write(tmp_path, "a2.json", A2)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    missing = str(tmp_path / "missing.json")
+    expected = [
+        (["classify", "--in", str(bad)], f"error: {bad}: invalid JSON: 'utf-8' codec"),
+        (["classify", "--in", str(deep)], f"error: {deep}: invalid JSON: maximum recursion"),
+        (["classify", "--in", missing], f"error: cannot read {missing}: "),
+        (["distinguishing", "--in", a2, "--seq", "1", "--a", str(bad)],
+         f"error: extension matrix {bad}: invalid JSON: "),
+        (["distinguishing", "--in", a2, "--seq", "1", "--a", missing],
+         f"error: cannot read extension matrix {missing}: "),
+        (["distinguishing", "--in", a2, "--seq", "1", "--a", "[" * 100_000],
+         "error: extension matrix: invalid JSON: maximum recursion"),
+        (["mutate", "--in", a2, "--seq", "1", "--out", str(tmp_path / "no" / "x.json")],
+         f"error: cannot write {tmp_path / 'no' / 'x.json'}: "),
+        (["export-dot", "--in", a2, "--out", str(tmp_path)], f"error: cannot write {tmp_path}: "),
+    ]
+    for argv, start in expected:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(start), (argv[0], captured.err)
+
+
+@pytest.mark.parametrize("command", [["mutate", "--seq", "1,2"], ["export-dot"]])
+def test_cli_out_writes_what_stdout_gets(kprime_file, tmp_path, capsys, command):
+    assert main(command + ["--in", kprime_file]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main(command + ["--in", kprime_file, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("argv, a", [
+    (["distinguishing", "--in", "{t}", "--seq", "1,2", "--json"], "[[1], [1]]"),
+    (["cycle-build", "general", "--t", "{t}", "--h", "{h}", "--mt", "1,2", "--mh", "5,6",
+      "--json"], "[[1, 0], [2, 1]]"),
+    (["cycle-build", "acyclic", "--t", "{t}", "--h", "{h}", "--m", "2", "--n", "5,6"],
+     "[[0, 3], [1, 0]]"),
+])
+def test_cli_extension_matrix_file_reads_as_inline(tmp_path, capsys, argv, a):
+    paths = {"t": _write(tmp_path, "t.json", A2), "h": _write(tmp_path, "h.json", A2_ON_5_6)}
+    argv = [arg.format(**paths) for arg in argv]
+    a_file = tmp_path / "a.json"
+    a_file.write_text(a)
+    assert main(argv + ["--a", a]) == 0
+    inline = capsys.readouterr()
+    assert main(argv + ["--a", str(a_file)]) == 0
+    assert capsys.readouterr() == inline
+    assert inline.out and inline.err == ""

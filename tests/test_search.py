@@ -215,13 +215,16 @@ def test_memo_cap_stops_insertion_and_keeps_the_result(monkeypatch):
 def test_guardrail_cuts_every_child_of_a_start_state_over_the_limit():
     # Mutation never shrinks the triple arrow, so every child of the start
     # state is over the limit, though no child grows an entry past it.
+    # At length bound 0 there is no child to cut.
     q = Quiver.from_arrows([1, 2, 3], [(1, 2, 3), (2, 3)])
-    for reduced in (False, True):
-        for green in (False, True):
-            kwargs = dict(reduced_only=reduced, green_only=green, weight_limit=2)
-            result = search_reddening(q, 4, **kwargs)
-            assert (result.sequences, result.overflow_branches) == reference_search_reddening(q, 4, **kwargs)
-            assert result.sequences == () and result.overflow_branches == 3
+    names = ("reduced_only", "green_only", "first_only", "prune_revisited")
+    for max_len in (0, 4):
+        for flags in itertools.product((False, True), repeat=4):
+            kwargs = dict(zip(names, flags), weight_limit=2)
+            result = search_reddening(q, max_len, **kwargs)
+            reference = reference_search_reddening(q, max_len, **kwargs)
+            assert (result.sequences, result.overflow_branches) == reference
+            assert result.sequences == () and result.overflow_branches == (3 if max_len else 0)
 
 
 def test_deep_search_is_not_bounded_by_recursion(tmp_path, capsys):
