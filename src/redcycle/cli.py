@@ -198,21 +198,21 @@ def _cmd_catalog(args) -> Report:
     if args.action == "list":
         names = list(catalog.catalog_names())
         return 0, {"items": names}, names
-    if args.action == "show":
-        item = catalog.catalog_item(args.name)
-        doc = {
-            "name": item.name,
-            "quivers": {k: quiver_to_dict(v) for k, v in item.quivers.items()},
-            "sequences": {k: list(v) for k, v in item.sequences.items()},
-            "permutations": {k: _fmt_perm(v) for k, v in item.permutations.items()},
-        }
-        lines = [f"name: {item.name}"]
-        lines += [f"quiver {k}: {v!r}" for k, v in item.quivers.items()]
-        lines += [f"sequence {k}: {','.join(map(str, v))}" for k, v in item.sequences.items()]
-        lines += [f"permutation {k}: {_fmt_perm(v)}" for k, v in item.permutations.items()]
-        return 0, doc, lines
-    # verify
     names = catalog.catalog_names() if args.name == "all" else (args.name,)
+    if args.action == "show":
+        docs, lines = {}, []
+        for item in map(catalog.catalog_item, names):
+            docs[item.name] = {
+                "name": item.name,
+                "quivers": {k: quiver_to_dict(v) for k, v in item.quivers.items()},
+                "sequences": {k: list(v) for k, v in item.sequences.items()},
+                "permutations": {k: _fmt_perm(v) for k, v in item.permutations.items()},
+            }
+            lines += [f"name: {item.name}"]
+            lines += [f"quiver {k}: {v!r}" for k, v in item.quivers.items()]
+            lines += [f"sequence {k}: {','.join(map(str, v))}" for k, v in item.sequences.items()]
+            lines += [f"permutation {k}: {_fmt_perm(v)}" for k, v in item.permutations.items()]
+        return 0, (docs if args.name == "all" else docs[args.name]), lines
     doc = {
         name: [{"check": c, "ok": ok} for c, ok, _ in catalog.verify_item(name)]
         for name in names

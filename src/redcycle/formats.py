@@ -35,8 +35,6 @@ def quiver_from_dict(data: Any) -> Quiver:
         if "arrows" in data or "vertices" in data:
             vertices = [_as_int(v) for v in data["vertices"]]
             arrows = _as_matrix(data.get("arrows", []))
-            if any(len(a) not in (2, 3) for a in arrows):
-                raise FormatError("arrows must be [src, dst] or [src, dst, mult]")
             return Quiver.from_arrows(vertices, arrows, frozen_pairs=pairs)
         if "b_matrix" in data:
             labels = [_as_int(v) for v in data["labels"]]

@@ -9,7 +9,7 @@ isomorphisms.
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 class Permutation:
@@ -101,9 +101,6 @@ class Permutation:
     def order(self) -> int:
         """Smallest k >= 1 with ``self**k`` the identity."""
         return lcm(*(len(c) for c in self.cycles())) if self._map else 1
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._map.items()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):

@@ -259,6 +259,9 @@ class Quiver:
         Arrows repeated in the same direction accumulate; listing a pair in
         both directions is rejected rather than silently cancelled.
         """
+        arrows = tuple(arrows)
+        if any(len(arrow) not in (2, 3) for arrow in arrows):
+            raise ValueError("arrows must be [src, dst] or [src, dst, mult]")
         vertices = tuple(vertices)
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
@@ -358,11 +361,12 @@ class Quiver:
     # -- mutation ------------------------------------------------------
 
     def _check_mutable(self, v: int) -> int:
-        if v not in self._index:
+        i = self._index.get(v)
+        if i is None:
             raise UnknownVertexError(f"unknown vertex {v}")
-        if v not in self._mutable:
+        if i >= len(self._rows):
             raise FrozenVertexError(f"cannot mutate at frozen vertex {v}")
-        return self._index[v]
+        return i
 
     def mutate(self, v: int) -> "Quiver":
         """Mutate at the mutable vertex ``v``.
@@ -452,21 +456,12 @@ class Quiver:
 
     def sources(self) -> tuple[int, ...]:
         """Mutable vertices with no incoming arrows from mutable vertices."""
-        mut = [self._index[v] for v in self._mutable]
-        return tuple([
-            self._labels[i]
-            for i in mut
-            if all(self._rows[j][i] <= 0 for j in mut)
-        ])
+        n = len(self._rows)
+        return tuple([v for v, row in zip(self._mutable, self._rows) if min(row[:n]) >= 0])
 
     def sinks(self) -> tuple[int, ...]:
         """Mutable vertices with no outgoing arrows to mutable vertices."""
-        mut = [self._index[v] for v in self._mutable]
-        return tuple([
-            self._labels[i]
-            for i in mut
-            if all(self._rows[i][j] <= 0 for j in mut)
-        ])
+        return self.opposite().sources()
 
     # -- equality -------------------------------------------------------
 
@@ -526,62 +521,65 @@ def _canonical_order(rows: Sequence[Sequence[int]], cells: list[list[int]]) -> l
     with equal rows (so a zero entry between them), one candidate stands for
     all: swapping them is an automorphism (McKay and Piperno, *Practical
     graph isomorphism, II*, 2014).
+
+    The search is one loop over a stack with one frame per placed index:
+    the cells it is chosen from and an iterator over the least candidates
+    not yet tried there (None until the frame is opened).  So only the rank
+    bounds its depth.
     """
     n = sum(map(len, cells))
     best: list[list[int]] = []  # per row, the least tail
     order: list[int] = []  # an ordering whose rows have the tails ``best``
-    placed: list[int] = []
-
-    def place(d: int, cells: list[list[int]]) -> None:
-        nonlocal order
-        first, rest = cells[0], cells[1:]
-        least: list[int] | None = None
-        chosen: list[int] = []
-        twins: set[tuple[int, ...]] = set()
-        for v in first:
-            row = rows[v]
-            if row in twins:
-                continue
-            twins.add(row)
-            tail = sorted([row[w] for w in first if w != v])
-            for cell in rest:
-                tail += sorted(map(row.__getitem__, cell))
-            if least is None or tail < least:
-                least, chosen = tail, [v]
-            elif tail == least:
-                chosen.append(v)
-        assert least is not None
-        if d < len(best):
-            if least > best[d]:
-                return
-            if least < best[d]:
-                del best[d:]
-        if d == len(best):
-            best.append(least)
-        for v in chosen:
-            row = rows[v]
-            split = []
-            for cell in ([w for w in first if w != v], *rest):
-                if len(cell) == 1:
-                    split.append(cell)
+    placed: list[int] = []  # the index each frame is trying
+    stack: list[tuple[list[list[int]], Iterator[int] | None]] = [(cells, None)] if n else []
+    while stack:
+        d = len(stack) - 1
+        cells, candidates = stack[-1]
+        if candidates is None:
+            first, rest = cells[0], cells[1:]
+            least: list[int] | None = None
+            chosen: list[int] = []
+            twins: set[tuple[int, ...]] = set()
+            for v in first:
+                row = rows[v]
+                if row in twins:
                     continue
-                by_value: dict[int, list[int]] = {}
-                for w in cell:
-                    by_value.setdefault(row[w], []).append(w)
-                split.extend(by_value[x] for x in sorted(by_value))
-            placed.append(v)
-            if len(split) < n - d - 1:
-                place(d + 1, split)
-            else:  # every cell a single index: the rest of the order is forced
-                forced = placed + [w for w, in split]
-                tails = [[rows[forced[i]][w] for w in forced[i + 1 :]] for i in range(d + 1, n)]
-                if len(best) == d + 1 or tails < best[d + 1 :]:
-                    best[d + 1 :] = tails
-                    order = forced
-            placed.pop()
-
-    if n:
-        place(0, cells)
+                twins.add(row)
+                tail = sorted([row[w] for w in first if w != v])
+                for cell in rest:
+                    tail += sorted(map(row.__getitem__, cell))
+                if least is None or tail < least:
+                    least, chosen = tail, [v]
+                elif tail == least:
+                    chosen.append(v)
+            assert least is not None
+            if d == len(best) or least < best[d]:
+                best[d:] = [least]
+            candidates = iter(chosen if least == best[d] else ())  # none: cut above best
+            stack[-1] = (cells, candidates)
+        v = next(candidates, None)
+        if v is None:
+            stack.pop()
+            continue
+        placed[d:] = [v]
+        row = rows[v]
+        split = []
+        for cell in ([w for w in cells[0] if w != v], *cells[1:]):
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            by_value: dict[int, list[int]] = {}
+            for w in cell:
+                by_value.setdefault(row[w], []).append(w)
+            split.extend(by_value[x] for x in sorted(by_value))
+        if len(split) < n - d - 1:
+            stack.append((split, None))
+        else:  # every cell a single index: the rest of the order is forced
+            forced = placed + [w for w, in split]
+            tails = [[rows[forced[i]][w] for w in forced[i + 1 :]] for i in range(d + 1, n)]
+            if len(best) == d + 1 or tails < best[d + 1 :]:
+                best[d + 1 :] = tails
+                order = forced
     return order
 
 

@@ -7,6 +7,8 @@ structural predicates (:func:`classify` and its helpers) read labels
 through ``Quiver.b``, and :func:`explore` is the plain breadth-first loop
 with no shortcut; both are the library's earlier code, kept as the oracle
 for its index-row predicates and for the shortcuts of its explore loop.
+:func:`canonical_order` is the earlier recursive form of
+``quiver._canonical_order``, the oracle for the order its loop returns.
 """
 
 from __future__ import annotations
@@ -387,3 +389,78 @@ def forkless_explore(q: Quiver, node_budget: int, discard_preforks: bool):
     if classify(q).key_pairs:
         keys.add(canonical_form(q))
     return forms, {form: rep for form, rep in forms.items() if form in keys}, exhausted
+
+
+def canonical_order(rows: Sequence[Sequence[int]], cells: list[list[int]]) -> list[int]:
+    """The ordering of the indices in ``cells`` that keeps the cells in
+    order and makes the rows least: read at those indices, right of the
+    diagonal, row by row.
+
+    The search places one index per row while the unplaced ones sit in
+    ordered cells: members of a cell agree on their entries at every placed
+    index, so the next row's entries at placed indices are fixed, the next
+    index comes from the first cell, and its row's remaining entries are
+    least when each cell is read in ascending order.  Only candidates whose
+    tail (the cells' values, each cell sorted) is least go on; each cell is
+    then split by the chosen index's row, ascending.  A branch is cut at the
+    first row that exceeds the least rows found so far.  Of twins, indices
+    with equal rows (so a zero entry between them), one candidate stands for
+    all: swapping them is an automorphism (McKay and Piperno, *Practical
+    graph isomorphism, II*, 2014).
+    """
+    n = sum(map(len, cells))
+    best: list[list[int]] = []  # per row, the least tail
+    order: list[int] = []  # an ordering whose rows have the tails ``best``
+    placed: list[int] = []
+
+    def place(d: int, cells: list[list[int]]) -> None:
+        nonlocal order
+        first, rest = cells[0], cells[1:]
+        least: list[int] | None = None
+        chosen: list[int] = []
+        twins: set[tuple[int, ...]] = set()
+        for v in first:
+            row = rows[v]
+            if row in twins:
+                continue
+            twins.add(row)
+            tail = sorted([row[w] for w in first if w != v])
+            for cell in rest:
+                tail += sorted(map(row.__getitem__, cell))
+            if least is None or tail < least:
+                least, chosen = tail, [v]
+            elif tail == least:
+                chosen.append(v)
+        assert least is not None
+        if d < len(best):
+            if least > best[d]:
+                return
+            if least < best[d]:
+                del best[d:]
+        if d == len(best):
+            best.append(least)
+        for v in chosen:
+            row = rows[v]
+            split = []
+            for cell in ([w for w in first if w != v], *rest):
+                if len(cell) == 1:
+                    split.append(cell)
+                    continue
+                by_value: dict[int, list[int]] = {}
+                for w in cell:
+                    by_value.setdefault(row[w], []).append(w)
+                split.extend(by_value[x] for x in sorted(by_value))
+            placed.append(v)
+            if len(split) < n - d - 1:
+                place(d + 1, split)
+            else:  # every cell a single index: the rest of the order is forced
+                forced = placed + [w for w, in split]
+                tails = [[rows[forced[i]][w] for w in forced[i + 1 :]] for i in range(d + 1, n)]
+                if len(best) == d + 1 or tails < best[d + 1 :]:
+                    best[d + 1 :] = tails
+                    order = forced
+            placed.pop()
+
+    if n:
+        place(0, cells)
+    return order

@@ -27,6 +27,7 @@ from redcycle.errors import (
     ForkStartError,
     IntegerOverflowError,
 )
+from redcycle.quiver import _canonical_order
 from redcycle.reddening import source_sequence
 
 import reference
@@ -477,6 +478,72 @@ def test_canonical_form_of_arrowless_quiver_at_rank_10():
     # All 10 vertices are twins of each other: one ordering stands for 10!.
     q = Quiver.from_arrows(range(1, 11), [])
     assert canonical_form(q) == b"10|" + b",".join([b"0"] * 100)
+
+
+def _frozen_row_cells(q: Quiver) -> list[list[int]]:
+    """``find_isomorphism``'s cells: mutable indices by frozen row, ascending."""
+    n, rows = q.rank, q.mutable_rows()
+    cells: dict[tuple[int, ...], list[int]] = {}
+    for i in range(n):
+        cells.setdefault(rows[i][n:], []).append(i)
+    return [cells[key] for key in sorted(cells)]
+
+
+def _partly_framed(rng: random.Random, q: Quiver) -> Quiver:
+    """``q`` with up to rank frozen vertices, each joined to the mutable
+    ones by 0 or 1 arrows either way, so that frozen rows tie often."""
+    n = q.rank
+    m = rng.randint(1, n)
+    b = [list(row) + [0] * m for row in q.rows()] + [[0] * (n + m) for _ in range(m)]
+    for i in range(n):
+        for f in range(n, n + m):
+            b[i][f] = rng.choice((-1, 0, 0, 1))
+            b[f][i] = -b[i][f]
+    mutable, frozen = q.mutable_labels, tuple(range(n + 1, n + m + 1))
+    return Quiver(mutable, b, mutable + frozen, zip(mutable, frozen))
+
+
+def test_canonical_order_matches_the_recursive_reference():
+    # The same order, not just the same form: find_isomorphism's sigma is
+    # read off the order, index by index.
+    rng = random.Random(223)
+    cases = []
+    for _ in range(600):
+        n = rng.randint(0, 9)
+        q = random_quiver(rng, max_n=n, max_weight=rng.choice((1, 2, 3)), min_n=n)
+        cases.append((q.rows(), [list(range(n))]))
+        if n:
+            framed_q = _partly_framed(rng, q)
+            cases.append((framed_q.mutable_rows(), _frozen_row_cells(framed_q)))
+            walked = framed(q).mutate_seq(rng.choices(q.mutable_labels, k=rng.randint(0, 4)))
+            cases.append((walked.mutable_rows(), _frozen_row_cells(walked)))
+    for b in _tie_heavy_matrices(random.Random(211)):
+        cases.append((b, [list(range(len(b)))]))
+    for k, size in ((2, 3), (3, 3), (2, 4)):  # disjoint oriented cycles
+        b = [[0] * (k * size) for _ in range(k * size)]
+        for i in range(k * size):
+            j = size * (i // size) + (i + 1) % size
+            b[i][j], b[j][i] = 1, -1
+        cases.append((b, [list(range(k * size))]))
+    for rows, cells in cases:
+        rows = [tuple(row) for row in rows]
+        assert _canonical_order(rows, cells) == reference.canonical_order(rows, cells), rows
+
+
+def test_canonical_form_and_isomorphism_of_a_rank_1100_path():
+    # A recursive ordering overflows the interpreter's stack near rank 1,000.
+    path = Quiver.from_arrows(range(1, 1101), [(v, v + 1) for v in range(1, 1100)])
+    # Read from vertex 1100 down: 1 left of the diagonal, -1 right of it.
+    rows = [["0"] * 1100 for _ in range(1100)]
+    for i in range(1099):
+        rows[i][i + 1], rows[i + 1][i] = "-1", "1"
+    assert canonical_form(path) == b"1100|" + ",".join(map(",".join, rows)).encode()
+    labels = list(path.mutable_labels)
+    shuffled = labels[:]
+    random.Random(229).shuffle(shuffled)
+    copy = path.permuted(Permutation(dict(zip(labels, shuffled))))
+    sigma = find_isomorphism(path, copy)
+    assert sigma is not None and path.permuted(sigma) == copy
 
 
 def test_forkless_explore_a2():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from redcycle import Quiver, catalog_item, framed
+from redcycle import Quiver, catalog_item, catalog_names, framed
 from redcycle.cli import main
 from redcycle.errors import FormatError, UnknownVertexError
 from redcycle.extcycles import is_distinguishing
@@ -78,6 +78,13 @@ def test_bad_documents_rejected():
         quiver_from_dict({"labels": [1, 2], "b_matrix": [[0, 1], [1, 0]]})
 
 
+@pytest.mark.parametrize("arrows", [[[1, 2, 1, 1]], [[1]], [[1, 1], [1]]])
+def test_malformed_arrow_is_one_error_line(tmp_path, capsys, arrows):
+    path = _write(tmp_path, "q.json", {"vertices": [1, 2], "arrows": arrows})
+    assert main(["classify", "--in", path]) == 2
+    _assert_one_error_line(capsys, "arrows must be [src, dst] or [src, dst, mult]")
+
+
 def test_loops_rejected_on_load(tmp_path, capsys):
     doc = {"vertices": [1, 2], "arrows": [[1, 1]]}
     with pytest.raises(FormatError, match="loop at vertex 1"):
@@ -123,6 +130,22 @@ def test_cli_cycle_verify_names_the_overflow_step(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "overflow_step: 49\n" in captured.out
     assert captured.err == ""
+
+
+def test_cli_reports_on_a_rank_1100_path(tmp_path, capsys):
+    # Both commands order the 1,100 vertices canonically; a recursive
+    # ordering raised RecursionError here.
+    doc = {"vertices": list(range(1, 1101)), "arrows": [[v, v + 1] for v in range(1, 1100)]}
+    path = _write(tmp_path, "path1100.json", doc)
+    assert main(["enumerate", "--in", path, "--budget", "1", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"exhausted": False, "forms": 1}
+    assert "Traceback" not in captured.err
+    assert main(["cycle-verify", "--in", path, "--seq", "1", "--json"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["length"] == 1 and report["closes_iso"] == "none"
+    assert "Traceback" not in captured.err
 
 
 def test_cli_cycle_verify_overflowing_input_is_malformed(tmp_path, capsys):
@@ -497,6 +520,21 @@ def test_cli_catalog_commands(capsys):
     assert out["permutations"]["Mprime"] == "(1,2)"
     assert main(["catalog", "verify", "key_K_and_Kprime"]) == 0
     capsys.readouterr()
+
+
+def test_cli_catalog_show_defaults_to_every_item(capsys):
+    # "all" is the documented default name, for show as for verify.
+    docs, text = {}, ""
+    for name in catalog_names():
+        assert main(["catalog", "show", name, "--json"]) == 0
+        docs[name] = json.loads(capsys.readouterr().out)
+        assert main(["catalog", "show", name]) == 0
+        text += capsys.readouterr().out
+    for argv in (["catalog", "show"], ["catalog", "show", "all"]):
+        assert main(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == docs
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text
 
 
 def test_cli_export_dot(kprime_file, capsys):

@@ -285,6 +285,16 @@ def test_from_arrows_rejects_two_directions():
         Quiver.from_arrows([1, 2], [(1, 2, 1), (2, 1, 1)])
 
 
+@pytest.mark.parametrize("arrows", [
+    [(1, 2, 1, 1)], [(1,)], [(1, 1), (1, 2, 1, 1)], [(3, 1), (1,)],
+])
+def test_from_arrows_checks_every_arrow_shape_first(arrows):
+    # A loop or an unknown endpoint listed before a malformed arrow is not
+    # the error reported.
+    with pytest.raises(ValueError, match=r"^arrows must be \[src, dst\] or \[src, dst, mult\]$"):
+        Quiver.from_arrows([1, 2], arrows)
+
+
 def test_from_arrows_rejects_loops():
     for arrow in ((1, 1), (2, 2, 3)):
         with pytest.raises(ValueError, match=f"loop at vertex {arrow[0]}"):
