@@ -15,7 +15,7 @@ The predicates read the mutable rows by index, which is label order.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from operator import ne
 from typing import Callable, Sequence
@@ -48,6 +48,20 @@ class ClassificationReport:
     @property
     def is_prefork(self) -> bool:
         return bool(self.prefork_pairs)
+
+
+@dataclass(frozen=True)
+class ClassEnumeration:
+    """What one walk of :func:`explore` found within its node budget:
+    ``forms`` and ``exhausted`` (see there), and ``key_forms``, the keys among
+    ``forms`` in their order, which only :func:`forkless_explore` fills in."""
+
+    forms: dict[bytes, Quiver]
+    exhausted: bool
+    key_forms: dict[bytes, Quiver] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.forms)
 
 
 def _source_order(rows: Sequence[Sequence[int]], vs: Sequence[int]) -> list[int] | None:
@@ -105,11 +119,16 @@ def _fork_returns(rows: Sequence[Sequence[int]], vs: Sequence[int]) -> frozenset
 
 
 def _twin_pairs(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    """Pairs (k, k') whose arrows to every third vertex agree in direction;
-    their sign rows also differ at k and k' exactly when an arrow joins them."""
+    """Pairs (k, k') whose arrows to every third vertex agree in direction:
+    their sign rows are equal when no arrow joins them, and differ only at k
+    and k' when one does."""
     sign = [[(x > 0) - (x < 0) for x in row] for row in rows]
-    pairs = combinations(range(len(rows)), 2)
-    return [(k, kp) for k, kp in pairs if sum(map(ne, sign[k], sign[kp])) == 2 * (rows[k][kp] != 0)]
+    pairs = []
+    for k, kp in combinations(range(len(rows)), 2):
+        s, t = sign[k], sign[kp]
+        if sum(map(ne, s, t)) == 2 if rows[k][kp] else s == t:
+            pairs.append((k, kp))
+    return pairs
 
 
 def classify(q: Quiver) -> ClassificationReport:
@@ -175,14 +194,14 @@ def explore(
     q: Quiver,
     node_budget: int = DEFAULT_BUDGET,
     keep: Callable[[bytes, Quiver], bool] | None = None,
-) -> tuple[dict[bytes, Quiver], bool]:
+) -> ClassEnumeration:
     """Breadth-first walk of the mutation class of ``q`` up to isomorphism.
 
-    Returns ``(forms, exhausted)``.  ``forms`` maps each canonical form to
-    the first labeled representative reached, the start first, and stops
-    growing as soon as it holds ``node_budget`` forms; ``exhausted`` is True
-    exactly when the frontier emptied first.  Each level is expanded in
-    canonical-form order, so the walk is deterministic.
+    ``forms`` maps each canonical form to the first labeled representative
+    reached, the start first, and stops growing as soon as it holds
+    ``node_budget`` forms; ``exhausted`` is True exactly when the frontier
+    emptied first.  Each level is expanded in canonical-form order, so the
+    walk is deterministic.
 
     A new form is kept only if ``keep(form, quiver)`` accepts it; the start
     is always kept.  Deduplication comes first, and a rejected form is never
@@ -224,29 +243,14 @@ def explore(
                 stored.add(neighbor.mutable_rows())
                 next_level[form] = (neighbor, neighbor.mutable_rows()[i])
                 if len(forms) >= node_budget:
-                    return forms, False
+                    return ClassEnumeration(forms, False)
         level = next_level
-    return forms, len(forms) < node_budget
-
-
-@dataclass(frozen=True)
-class ForklessReport:
-    """Deduplicated non-fork part of a mutation class, up to a node budget.
-
-    ``forms`` maps each canonical form to the first labeled representative
-    reached by breadth-first search; ``key_forms`` is the subset classified
-    as keys.  ``exhausted`` is True when the frontier emptied before the
-    budget was hit.
-    """
-
-    forms: dict[bytes, Quiver]
-    key_forms: dict[bytes, Quiver]
-    exhausted: bool
+    return ClassEnumeration(forms, len(forms) < node_budget)
 
 
 def forkless_explore(
     q: Quiver, node_budget: int = DEFAULT_BUDGET, discard_preforks: bool = False
-) -> ForklessReport:
+) -> ClassEnumeration:
     """Breadth-first search of the forkless part, deduplicating by canonical
     form and discarding forks as they appear (see :func:`explore`).
 
@@ -262,16 +266,15 @@ def forkless_explore(
     start = classify(q)
     if start.is_fork:
         raise ForkStartError("starting quiver is a fork")
-    keys: set[bytes] = set()
+    key_forms: dict[bytes, Quiver] = {}
 
     def keep(form: bytes, rep: Quiver) -> bool:
         report = classify(rep)
-        if report.is_key:
-            keys.add(form)
+        if report.is_key:  # a key is acyclic: never a fork nor a pre-fork, so kept
+            key_forms[form] = rep
         return not (report.is_fork or (discard_preforks and report.is_prefork))
 
-    forms, exhausted = explore(q, node_budget, keep)
-    if start.is_key:
-        keys.add(next(iter(forms)))  # the start's form comes first
-    key_forms = {form: rep for form, rep in forms.items() if form in keys}
-    return ForklessReport(forms=forms, key_forms=key_forms, exhausted=exhausted)
+    walk = explore(q, node_budget, keep)
+    if start.is_key:  # the start's form comes first
+        key_forms = {next(iter(walk.forms)): q, **key_forms}
+    return ClassEnumeration(walk.forms, walk.exhausted, key_forms)

@@ -124,6 +124,16 @@ def _mutated_rows(
     return new
 
 
+def _relaid_rows(
+    rows: Sequence[Sequence[int]], labels: Sequence[int], new: Sequence[int], count: int
+) -> tuple[tuple[int, ...], ...]:
+    """The first ``count`` rows of the matrix ``rows``, indexed by ``labels``
+    (its rows may stop short of them), re-laid in the order ``new``."""
+    at = {v: i for i, v in enumerate(labels)}
+    idx = [at[v] for v in new]
+    return tuple([tuple([rows[a][b] for b in idx]) for a in idx[:count]])
+
+
 class Quiver:
     """An immutable labeled quiver with an optional frozen frame.
 
@@ -150,19 +160,23 @@ class Quiver:
         compare, hash and encode equal.  Prefer :meth:`from_arrows` for
         literal quivers.
         """
-        self._mutable = tuple(sorted(mutable_labels))
-        self._frozen_pairs = tuple(sorted(frozen_pairs))
-        frozen = tuple(sorted(f for _, f in self._frozen_pairs))
-        self._labels = self._mutable + frozen
-        self._index = {v: i for i, v in enumerate(self._labels)}
+        self._lay_out(tuple(sorted(mutable_labels)), tuple(sorted(frozen_pairs)))
         self._rows = _as_matrix(rows)
-        self._validate(frozen, self._labels if labels is None else tuple(labels))
+        self._validate(self._labels if labels is None else tuple(labels))
 
-    def _validate(self, frozen: tuple[int, ...], labels: tuple[int, ...]) -> None:
+    def _lay_out(self, mutable: tuple[int, ...], frozen_pairs: tuple[tuple[int, int], ...]) -> None:
+        """Store the sorted ``mutable`` and ``frozen_pairs``, and the labels
+        in the ascending layout (mutable, then frozen) with their index."""
+        self._mutable = mutable
+        self._frozen_pairs = frozen_pairs
+        self._labels = mutable + tuple(sorted(f for _, f in frozen_pairs))
+        self._index = {v: i for i, v in enumerate(self._labels)}
+
+    def _validate(self, labels: tuple[int, ...]) -> None:
         """Check the caller's labels and matrix, then store its mutable rows
         in the ascending layout."""
         n = len(labels)
-        if set(self._mutable) & set(frozen):
+        if set(self._mutable) & set(self.frozen_labels):
             raise ValueError("frozen labels must be disjoint from mutable labels")
         if len(self._index) != n or len(self._labels) != n:
             raise ValueError("duplicate vertex labels")
@@ -177,12 +191,8 @@ class Quiver:
         if len(self._rows) != n or any(len(r) != n for r in self._rows):
             raise ValueError("exchange matrix shape does not match labels")
         if labels != self._labels:
-            at = {v: i for i, v in enumerate(labels)}
-            idx = [at[v] for v in self._labels]
-            self._rows = tuple([tuple([self._rows[a][b] for b in idx]) for a in idx])
-            labels = self._labels
-        rows = self._rows
-        fro_idx = [self._index[f] for f in frozen]
+            self._rows = _relaid_rows(self._rows, labels, self._labels, n)
+        rows, labels, m = self._rows, self._labels, len(self._mutable)
         for i in range(n):
             if rows[i][i] != 0:
                 raise ValueError("nonzero diagonal entry")
@@ -193,11 +203,9 @@ class Quiver:
                     raise IntegerOverflowError(
                         f"arrow multiplicity exceeds 64-bit range at ({labels[i]}, {labels[j]})"
                     )
-        for a in fro_idx:
-            for b in fro_idx:
-                if rows[a][b] != 0:
-                    raise ValueError("arrows between frozen vertices are not stored")
-        self._rows = rows[: len(self._mutable)]
+        if any(rows[a][b] for a in range(m, n) for b in range(m, n)):
+            raise ValueError("arrows between frozen vertices are not stored")
+        self._rows = rows[:m]
 
     @classmethod
     def _trusted(
@@ -213,10 +221,7 @@ class Quiver:
         already passes every check of :meth:`_validate`.
         """
         q = object.__new__(cls)
-        q._mutable = mutable
-        q._frozen_pairs = frozen_pairs
-        q._labels = mutable + tuple(sorted(f for _, f in frozen_pairs))
-        q._index = {v: i for i, v in enumerate(q._labels)}
+        q._lay_out(mutable, frozen_pairs)
         q._rows = rows
         return q
 
@@ -237,13 +242,11 @@ class Quiver:
         frozen_pairs: Iterable[tuple[int, int]],
     ) -> "Quiver":
         """This matrix under ``new_labels`` (one label per current position),
-        laid out anew in ascending order; the caller has checked the labels."""
-        mutable = tuple(sorted(mutable))
-        pairs = tuple(sorted(frozen_pairs))
-        at = {v: i for i, v in enumerate(new_labels)}
-        idx = [at[v] for v in mutable + tuple(sorted(f for _, f in pairs))]
-        rows = tuple([tuple([self._rows[a][b] for b in idx]) for a in idx[: len(mutable)]])
-        return Quiver._trusted(mutable, pairs, rows)
+        laid out anew in ascending order on the vertices ``mutable`` and
+        ``frozen_pairs``, which may drop some; the caller has checked them."""
+        q = Quiver._trusted(tuple(sorted(mutable)), tuple(sorted(frozen_pairs)), ())
+        q._rows = _relaid_rows(self._rows, new_labels, q._labels, q.rank)
+        return q
 
     # -- construction -------------------------------------------------
 
@@ -417,11 +420,8 @@ class Quiver:
         for m, f in self._frozen_pairs:
             if f in kept and m not in kept:
                 raise ValueError(f"frozen vertex {f} kept without its mutable partner {m}")
-        pairs = tuple([(m, f) for m, f in self._frozen_pairs if m in kept and f in kept])
-        mutable = tuple([v for v in self._mutable if v in kept])
-        idx = [i for i, v in enumerate(self._labels) if v in kept]
-        rows = tuple([tuple([self._rows[a][b] for b in idx]) for a in idx[: len(mutable)]])
-        return Quiver._trusted(mutable, pairs, rows)
+        pairs = [(m, f) for m, f in self._frozen_pairs if m in kept and f in kept]
+        return self._relaid(self._labels, [v for v in self._mutable if v in kept], pairs)
 
     def opposite(self) -> "Quiver":
         """The quiver with all arrows reversed."""
@@ -520,7 +520,9 @@ def _canonical_order(rows: Sequence[Sequence[int]], cells: list[list[int]]) -> l
     first row that exceeds the least rows found so far.  Of twins, indices
     with equal rows (so a zero entry between them), one candidate stands for
     all: swapping them is an automorphism (McKay and Piperno, *Practical
-    graph isomorphism, II*, 2014).
+    graph isomorphism, II*, 2014).  Twins are found once per call, as the
+    first index with an equal row, so a frame compares small integers; when
+    no two rows are equal, no frame looks for twins.
 
     The search is one loop over a stack with one frame per placed index:
     the cells it is chosen from and an iterator over the least candidates
@@ -528,6 +530,10 @@ def _canonical_order(rows: Sequence[Sequence[int]], cells: list[list[int]]) -> l
     bounds its depth.
     """
     n = sum(map(len, cells))
+    twin: list[int] | None = None  # the first index with an equal row, if two are equal
+    if len(set(rows)) < len(rows):
+        firsts: dict[Sequence[int], int] = {}
+        twin = [firsts.setdefault(row, i) for i, row in enumerate(rows)]
     best: list[list[int]] = []  # per row, the least tail
     order: list[int] = []  # an ordering whose rows have the tails ``best``
     placed: list[int] = []  # the index each frame is trying
@@ -539,12 +545,13 @@ def _canonical_order(rows: Sequence[Sequence[int]], cells: list[list[int]]) -> l
             first, rest = cells[0], cells[1:]
             least: list[int] | None = None
             chosen: list[int] = []
-            twins: set[tuple[int, ...]] = set()
+            seen: set[int] = set()
             for v in first:
+                if twin is not None:
+                    if twin[v] in seen:
+                        continue
+                    seen.add(twin[v])
                 row = rows[v]
-                if row in twins:
-                    continue
-                twins.add(row)
                 tail = sorted([row[w] for w in first if w != v])
                 for cell in rest:
                     tail += sorted(map(row.__getitem__, cell))

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import DEFAULT_BUDGET, explore
+from .classify import DEFAULT_BUDGET, ClassEnumeration, explore
 from .errors import OutOfRangeError
 from .framing import CMatrix, Color, _color, framed
 from .permutation import Permutation
@@ -175,19 +175,7 @@ def search_reddening(
     return SearchResult(sequences=tuple(found), overflow_branches=overflow)
 
 
-@dataclass(frozen=True)
-class ClassEnumeration:
-    """Mutation class up to isomorphism, within a node budget."""
-
-    forms: dict[bytes, Quiver]
-    exhausted: bool
-
-    def __len__(self) -> int:
-        return len(self.forms)
-
-
 def enumerate_class(q: Quiver, node_budget: int = DEFAULT_BUDGET) -> ClassEnumeration:
     """Breadth-first enumeration of the mutation class, deduplicated by
     canonical form, halting at the node budget (see :func:`explore`)."""
-    forms, exhausted = explore(q, node_budget)
-    return ClassEnumeration(forms=forms, exhausted=exhausted)
+    return explore(q, node_budget)

@@ -8,13 +8,15 @@ through ``Quiver.b``, and :func:`explore` is the plain breadth-first loop
 with no shortcut; both are the library's earlier code, kept as the oracle
 for its index-row predicates and for the shortcuts of its explore loop.
 :func:`canonical_order` is the earlier recursive form of
-``quiver._canonical_order``, the oracle for the order its loop returns.
+``quiver._canonical_order``, the oracle for the order its loop returns,
+and :func:`twin_pairs` the earlier whole-row count of ``_twin_pairs``.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from typing import Sequence
 
 from redcycle import Permutation, Quiver, canonical_form
@@ -315,6 +317,18 @@ def _twin_pairs(q: Quiver) -> list[tuple[int, int]]:
             ):
                 out.append((k, kp))
     return out
+
+
+def twin_pairs(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The index pairs of ``_twin_pairs`` counted from whole sign rows:
+    (k, k') is a twin pair when its sign rows differ in exactly two places
+    (k and k') if an arrow joins them, and in none if not."""
+    sign = [[(x > 0) - (x < 0) for x in row] for row in rows]
+    pairs = itertools.combinations(range(len(rows)), 2)
+    return [
+        (k, kp) for k, kp in pairs
+        if sum(map(operator.ne, sign[k], sign[kp])) == 2 * (rows[k][kp] != 0)
+    ]
 
 
 def classify(q: Quiver) -> ClassificationReport:

@@ -94,6 +94,11 @@ def test_grid_quiver_r33_matches_figure():
 def test_grid_reddening_sequences():
     assert grid_reddening(3, 3) == (7, 4, 1, 8, 7, 5, 4, 2, 1, 9, 8, 7, 6, 5, 4, 3, 2, 1)
     assert grid_reddening(1, 1) == (1,)
+    for k, ell in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="grid dimensions must be >= 1"):
+            grid_quiver(k, ell)
+        with pytest.raises(ValueError, match="grid dimensions must be >= 1"):
+            grid_reddening(k, ell)
     seq22 = grid_reddening(2, 2)
     assert len(seq22) == 6
     assert is_reddening(grid_quiver(2, 2), seq22) is not None
@@ -131,6 +136,8 @@ def test_punctured_sphere_small_and_larger_cases():
     for k in (4, 6):
         q, seq, sigma = punctured_sphere(k)
         assert is_maximal_green(q, seq) == sigma
+    with pytest.raises(ValueError, match="need k >= 4"):
+        punctured_sphere_names(3)
 
 
 def test_dreaded_torus_family():
@@ -236,3 +243,6 @@ def test_three_torus_check_pins_the_overflow_step():
         verify_cycle(q, shifted[:52])
     moved = replace(item, sequences={**item.sequences, "stated_cycle": shifted})
     assert not dict((c, ok) for c, ok, _ in _evaluate(moved))[name]
+    # A splice that closes without leaving 64 bits fails the check too.
+    closing = replace(item, sequences={**item.sequences, "stated_cycle": item.sequences["cycle"]})
+    assert not dict((c, ok) for c, ok, _ in _evaluate(closing))[name]

@@ -20,7 +20,7 @@ from redcycle import (
     is_acyclic,
     catalog_item,
 )
-from redcycle.classify import ClassificationReport
+from redcycle.classify import ClassEnumeration, ClassificationReport, _twin_pairs, explore
 from redcycle.errors import (
     AlreadyFramedError,
     CyclicQuiverError,
@@ -240,6 +240,37 @@ def test_index_row_classify_matches_the_label_based_reference():
                 assert source_sequence(p) == order, p
     # Each branch of the report is reached, so the reference checks each.
     assert all(count >= 100 for count in hits.values()), hits
+
+
+def _twin_rich_matrices(rng: random.Random):
+    """Exchange matrices with many twin pairs, joined by an arrow or not:
+    vertices repeated up to rank 16, some copies then joined by an arrow."""
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        copies = [rng.randint(2, 4)] + [rng.randint(1, 4) for _ in range(k - 1)]
+        b = _with_copies([list(row) for row in random_quiver(rng, k, 3, min_n=k).rows()], copies)
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(len(b) - 1)
+            w = rng.choice((-2, -1, 1, 2))
+            b[i][i + 1], b[i + 1][i] = w, -w
+        yield b
+
+
+def test_twin_pairs_match_the_whole_sign_row_count():
+    rng = random.Random(1613)
+    matrices = [q.mutable_rows() for q in _classify_mix(random.Random(1611))[:1500]]
+    matrices += [q.mutable_rows() for edges in _DYNKIN_EDGES.values() for q in _orientations(edges)]
+    for name, quiver in (("infinite_reduced_key", "Q"), ("key_K_and_Kprime", "Kprime")):
+        matrices.append(catalog_item(name).quivers[quiver].mutable_rows())
+    matrices += list(_tie_heavy_matrices(rng)) + list(_twin_rich_matrices(rng))
+    found = {"joined": 0, "apart": 0}
+    for b in matrices:
+        rows = [tuple(row) for row in b]
+        pairs = _twin_pairs(rows)
+        assert pairs == reference.twin_pairs(rows), rows
+        for k, kp in pairs:
+            found["joined" if rows[k][kp] else "apart"] += 1
+    assert all(count >= 100 for count in found.values()), found
 
 
 _DYNKIN_EDGES = {
@@ -519,6 +550,12 @@ def test_canonical_order_matches_the_recursive_reference():
             cases.append((walked.mutable_rows(), _frozen_row_cells(walked)))
     for b in _tie_heavy_matrices(random.Random(211)):
         cases.append((b, [list(range(len(b)))]))
+    for b in _twin_rich_matrices(random.Random(227)):
+        cases.append((b, [list(range(len(b)))]))
+    for q in [q for edges in _DYNKIN_EDGES.values() for q in _orientations(edges)]:
+        cases.append((q.rows(), [list(range(q.rank))]))
+    for n in (10, 40):  # arrowless: every index a twin of every other
+        cases.append(([[0] * n for _ in range(n)], [list(range(n))]))
     for k, size in ((2, 3), (3, 3), (2, 4)):  # disjoint oriented cycles
         b = [[0] * (k * size) for _ in range(k * size)]
         for i in range(k * size):
@@ -544,6 +581,15 @@ def test_canonical_form_and_isomorphism_of_a_rank_1100_path():
     copy = path.permuted(Permutation(dict(zip(labels, shuffled))))
     sigma = find_isomorphism(path, copy)
     assert sigma is not None and path.permuted(sigma) == copy
+
+
+def test_every_class_walk_returns_one_record():
+    q = catalog_item("infinite_reduced_key").quivers["Q"]
+    walks = [explore(q, 30), enumerate_class(q, 30), forkless_explore(q, 30, True)]
+    assert all(type(walk) is ClassEnumeration for walk in walks)
+    assert walks[0] == walks[1] and len(walks[0]) == len(walks[0].forms) == 30
+    assert not walks[0].key_forms and walks[2].key_forms
+    assert list(walks[2].key_forms) == [f for f in walks[2].forms if f in walks[2].key_forms]
 
 
 def test_forkless_explore_a2():

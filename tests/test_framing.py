@@ -60,7 +60,10 @@ def test_frame_requires_unframed():
 
 
 def test_initial_c_matrix_is_identity():
-    assert c_matrix(path3(), ()).is_identity
+    c = c_matrix(path3(), ())
+    assert c.is_identity and c.row_color(1) is Color.GREEN
+    with pytest.raises(UnknownVertexError, match="unknown vertex 9"):
+        c.row_color(9)
 
 
 def test_restrict_framed_to_mutable_recovers_base():

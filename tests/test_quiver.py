@@ -127,6 +127,8 @@ def test_mutate_rejects_unknown_and_frozen():
     q = kprime()
     with pytest.raises(UnknownVertexError):
         q.mutate(9)
+    with pytest.raises(UnknownVertexError):
+        q.b(9, 1)
     from redcycle import framed
 
     fq = framed(q)
@@ -183,6 +185,7 @@ def test_equals_distinguishes_isomorphic_labelings():
     q1, q2 = _isomorphic_triangle_pair()
     assert q1 != q2
     assert q1 == q1
+    assert q1 != 1 and not q1 == 1  # compared through NotImplemented
 
 
 def test_relabeling_an_asymmetric_vertex_breaks_equality():
@@ -208,6 +211,7 @@ def test_find_isomorphism_absent_for_different_multiplicity():
     single = Quiver.from_arrows([1, 2], [(1, 2, 1)])
     double = Quiver.from_arrows([1, 2], [(1, 2, 2)])
     assert find_isomorphism(single, double) is None
+    assert find_isomorphism(single, single.relabeled({2: 3})) is None  # other labels
 
 
 def test_find_isomorphism_roundtrip_on_random_relabelings():
@@ -356,6 +360,9 @@ def test_permutation_basics():
     assert sigma.map_sequence((1, 4, 5)) == (3, 6, 5)
     assert sigma**0 == Permutation.identity()
     assert sigma**3 == Permutation.from_cycles((1, 3))
+    assert sigma**-2 == sigma.inverse() ** 2 != sigma**2
+    assert Permutation() != 1 and not Permutation() == 1  # through NotImplemented
+    assert repr(Permutation.identity()) == "Permutation.identity()"
 
 
 def test_permutation_rejects_non_bijection():
