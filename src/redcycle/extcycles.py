@@ -77,7 +77,8 @@ class ExtensionSpec:
 
 
 def triangular_extension(spec: ExtensionSpec) -> Quiver:
-    """Disjoint union of the factors plus ``a[t][h]`` arrows ``t -> h``."""
+    """Disjoint union of the factors plus ``a[t][h]`` arrows ``t -> h``, built
+    through :meth:`Quiver.from_arrows` for the 64-bit check of outside ``a``."""
     vertices = list(spec.t.mutable_labels) + list(spec.h.mutable_labels)
     arrows = list(spec.t.arrows()) + list(spec.h.arrows())
     for i, src in enumerate(spec.t.mutable_labels):

@@ -12,6 +12,8 @@ Two JSON shapes are accepted:
 
 The arrows form is canonical on output (sorted by source then target, no
 pair listed in both directions).  All output is deterministic byte for byte.
+The loaders hand a document's values to the constructors unconverted, so
+each rule is written once, in ``quiver``; what they raise is a FormatError.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 from typing import Any
 
 from .errors import FormatError
-from .quiver import MutationSequence, Quiver, _as_int, _as_matrix
+from .quiver import MutationSequence, Quiver, _as_matrix
 
 
 def quiver_from_dict(data: Any) -> Quiver:
@@ -28,18 +30,13 @@ def quiver_from_dict(data: Any) -> Quiver:
     if not isinstance(data, dict):
         raise FormatError("quiver document must be a JSON object")
     try:
-        pairs = [(_as_int(m), _as_int(f)) for m, f in data.get("frozen", [])]
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad frozen pairs: {exc}") from None
-    try:
+        pairs = data.get("frozen", [])
         if "arrows" in data or "vertices" in data:
-            vertices = [_as_int(v) for v in data["vertices"]]
-            arrows = _as_matrix(data.get("arrows", []))
-            return Quiver.from_arrows(vertices, arrows, frozen_pairs=pairs)
+            return Quiver.from_arrows(data["vertices"], data.get("arrows", []), pairs)
         if "b_matrix" in data:
-            labels = [_as_int(v) for v in data["labels"]]
-            mutable = [v for v in labels if v not in {f for _, f in pairs}]
-            return Quiver(mutable, data["b_matrix"], labels, pairs)
+            frozen = {f for _, f in pairs}
+            mutable = [v for v in data["labels"] if v not in frozen]
+            return Quiver(mutable, data["b_matrix"], data["labels"], pairs)
     except KeyError as exc:
         raise FormatError(f"missing field {exc.args[0]!r}") from None
     except Exception as exc:

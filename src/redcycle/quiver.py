@@ -23,15 +23,16 @@ step by step, and numbers the step at which an overflow happens.  A walk's
 Tuples are built from lists: CPython's ``tuple(generator)`` resizes a 10-slot
 tuple, so the free lists of the other sizes fill with memory nothing reuses.
 
-Input is validated where it enters the library: ``Quiver(...)``,
-:meth:`Quiver.from_arrows` and the loaders in ``formats`` check labels,
-shape, skew-symmetry, the 64-bit range and the absence of frozen-frozen
-arrows.  Every quiver the library derives from a checked one (mutation,
-restriction, the opposite, relabelings, framings) goes through the private
-trusted constructor, which checks nothing: the invariant is that every
-``Quiver`` value satisfies those checks.  The only check a derivation
-cannot skip is the 64-bit range after a mutation, and the kernel makes it
-on the entries it grows, as it writes them.
+Input is validated where it enters the library, by :meth:`Quiver._validate`
+alone: labels, the frozen pairing, arrow endpoints, loops, multiplicities
+(each converted once), pairs listed in both directions, the 64-bit range and
+frozen-frozen arrows.  :meth:`Quiver.from_arrows` adds a check of each arrow's
+shape, ``Quiver(...)`` a matrix's own (entries convert to integers, shape,
+zero diagonal, skew-symmetry).  Quivers derived from checked ones (mutation,
+restriction, the opposite, relabelings, framings) go through the private
+trusted constructor, which checks nothing: the mutation kernel checks the
+64-bit range of the entries it grows.  ``extcycles.triangular_extension``
+mixes in an outside matrix, so it rebuilds through ``from_arrows`` instead.
 """
 
 from __future__ import annotations
@@ -63,6 +64,11 @@ def _as_int(x: object) -> int:
 def _as_matrix(rows: Iterable[Iterable[object]]) -> tuple[tuple[int, ...], ...]:
     """Every entry through :func:`_as_int`, row by row, as tuples."""
     return tuple([tuple([_as_int(x) for x in row]) for row in rows])
+
+
+def _overflow(labels: Sequence[int], i: int, j: int) -> IntegerOverflowError:
+    pair = f"({labels[i]}, {labels[j]})"
+    return IntegerOverflowError(f"arrow multiplicity exceeds 64-bit range at {pair}")
 
 
 def reduce_sequence(seq: Iterable[int]) -> MutationSequence:
@@ -124,16 +130,6 @@ def _mutated_rows(
     return new
 
 
-def _relaid_rows(
-    rows: Sequence[Sequence[int]], labels: Sequence[int], new: Sequence[int], count: int
-) -> tuple[tuple[int, ...], ...]:
-    """The first ``count`` rows of the matrix ``rows``, indexed by ``labels``
-    (its rows may stop short of them), re-laid in the order ``new``."""
-    at = {v: i for i, v in enumerate(labels)}
-    idx = [at[v] for v in new]
-    return tuple([tuple([rows[a][b] for b in idx]) for a in idx[:count]])
-
-
 class Quiver:
     """An immutable labeled quiver with an optional frozen frame.
 
@@ -157,12 +153,11 @@ class Quiver:
         ``rows`` is indexed by ``labels`` (all labels, mutable then frozen in
         ascending order if omitted).  Its mutable rows are stored in that
         ascending layout whatever order ``labels`` lists, so equal quivers
-        compare, hash and encode equal.  Prefer :meth:`from_arrows` for
-        literal quivers.
+        compare, hash and encode equal; prefer :meth:`from_arrows` for literals.
         """
-        self._lay_out(tuple(sorted(mutable_labels)), tuple(sorted(frozen_pairs)))
-        self._rows = _as_matrix(rows)
-        self._validate(self._labels if labels is None else tuple(labels))
+        self._lay_out(tuple(sorted(mutable_labels)), tuple(sorted(map(tuple, frozen_pairs))))
+        labels = self._labels if labels is None else tuple(labels)
+        self._validate(labels, self._matrix_arrows(_as_matrix(rows), labels))
 
     def _lay_out(self, mutable: tuple[int, ...], frozen_pairs: tuple[tuple[int, int], ...]) -> None:
         """Store the sorted ``mutable`` and ``frozen_pairs``, and the labels
@@ -172,40 +167,68 @@ class Quiver:
         self._labels = mutable + tuple(sorted(f for _, f in frozen_pairs))
         self._index = {v: i for i, v in enumerate(self._labels)}
 
-    def _validate(self, labels: tuple[int, ...]) -> None:
-        """Check the caller's labels and matrix, then store its mutable rows
-        in the ascending layout."""
+    def _matrix_arrows(self, rows: Sequence[Sequence[int]], labels: tuple[int, ...]) -> Iterator:
+        """The arrows ``(src, dst, mult)`` of ``rows`` indexed by ``labels``, in
+        row-major order of the ascending layout.  Run by :meth:`_validate` after
+        its label checks, it checks the shape, the diagonal and skew-symmetry."""
+        n = len(labels)
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise ValueError("exchange matrix shape does not match labels")
+        at = {v: i for i, v in enumerate(labels)}
+        idx, lay = [at[v] for v in self._labels], self._labels
+        for i, a in enumerate(idx):
+            if rows[a][a]:
+                raise ValueError("nonzero diagonal entry")
+            for j in range(i + 1, n):
+                x = rows[a][idx[j]]
+                if x != -rows[idx[j]][a]:
+                    raise ValueError("matrix is not skew-symmetric")
+                if x:
+                    yield (lay[i], lay[j], x) if x > 0 else (lay[j], lay[i], -x)
+
+    def _validate(self, labels: tuple[int, ...], arrows: Iterable[tuple[int, ...]]) -> None:
+        """Check the caller's ``labels`` against the layout, then the arrows
+        ``(src, dst, mult)``, which accumulate; store the mutable rows."""
         n = len(labels)
         if set(self._mutable) & set(self.frozen_labels):
             raise ValueError("frozen labels must be disjoint from mutable labels")
         if len(self._index) != n or len(self._labels) != n:
             raise ValueError("duplicate vertex labels")
-        mut_of = [m for m, _ in self._frozen_pairs]
-        # A bool is an int that equals 0 or 1, so only the type tells it apart.
-        if any(type(v) is not int or v < 1 for v in labels + tuple(mut_of)):
+        mut_of = tuple([m for m, _ in self._frozen_pairs])
+        # Only the type tells True or 2.0 from the int it equals.
+        if any(type(v) is not int or v < 1 for v in labels + self._labels + mut_of):
             raise ValueError("labels must be positive integers")
         if set(self._labels) != set(labels):
             raise ValueError("labels do not match the mutable/frozen split")
         if len(set(mut_of)) != len(mut_of) or any(m not in self._index for m in mut_of):
             raise ValueError("invalid frozen pairing")
-        if len(self._rows) != n or any(len(r) != n for r in self._rows):
-            raise ValueError("exchange matrix shape does not match labels")
-        if labels != self._labels:
-            self._rows = _relaid_rows(self._rows, labels, self._labels, n)
-        rows, labels, m = self._rows, self._labels, len(self._mutable)
-        for i in range(n):
-            if rows[i][i] != 0:
-                raise ValueError("nonzero diagonal entry")
-            for j in range(i + 1, n):
-                if rows[i][j] != -rows[j][i]:
-                    raise ValueError("matrix is not skew-symmetric")
-                if abs(rows[i][j]) > INT_LIMIT:
-                    raise IntegerOverflowError(
-                        f"arrow multiplicity exceeds 64-bit range at ({labels[i]}, {labels[j]})"
-                    )
-        if any(rows[a][b] for a in range(m, n) for b in range(m, n)):
+        index, lay, m = self._index, self._labels, len(self._mutable)
+        weights: dict[tuple[int, int], int] = {}  # (i, j) -> arrows i -> j
+        for src, dst, mult in arrows:
+            for v in (src, dst):
+                if type(v) is not int or v not in index:
+                    raise UnknownVertexError(f"arrow endpoint {v} is not a vertex")
+            if src == dst:
+                raise ValueError(f"loop at vertex {src}: quivers have no loops")
+            # A bool multiplicity is refused as a count, not as a conversion.
+            if isinstance(mult, bool) or (mult := _as_int(mult)) < 1:
+                raise ValueError(f"arrow multiplicity must be >= 1, got {mult}")
+            i, j = index[src], index[dst]
+            if (j, i) in weights:
+                raise ValueError(f"arrow pair ({src}, {dst}) listed in both directions")
+            weights[i, j] = weights.get((i, j), 0) + mult
+        over = [(min(k), max(k)) for k, x in weights.items() if x > INT_LIMIT]
+        if over:
+            raise _overflow(lay, *min(over))
+        if any(i >= m and j >= m for i, j in weights):
             raise ValueError("arrows between frozen vertices are not stored")
-        self._rows = rows[:m]
+        rows = [[0] * n for _ in range(m)]
+        for (i, j), x in weights.items():
+            if i < m:
+                rows[i][j] = x
+            if j < m:
+                rows[j][i] = -x
+        self._rows = tuple([tuple(r) for r in rows])
 
     @classmethod
     def _trusted(
@@ -245,7 +268,9 @@ class Quiver:
         laid out anew in ascending order on the vertices ``mutable`` and
         ``frozen_pairs``, which may drop some; the caller has checked them."""
         q = Quiver._trusted(tuple(sorted(mutable)), tuple(sorted(frozen_pairs)), ())
-        q._rows = _relaid_rows(self._rows, new_labels, q._labels, q.rank)
+        at = {v: i for i, v in enumerate(new_labels)}
+        idx = [at[v] for v in q._labels]
+        q._rows = tuple([tuple([self._rows[a][b] for b in idx]) for a in idx[:q.rank]])
         return q
 
     # -- construction -------------------------------------------------
@@ -265,34 +290,13 @@ class Quiver:
         arrows = tuple(arrows)
         if any(len(arrow) not in (2, 3) for arrow in arrows):
             raise ValueError("arrows must be [src, dst] or [src, dst, mult]")
-        vertices = tuple(vertices)
-        if len(set(vertices)) != len(vertices):
-            raise ValueError("duplicate vertex labels")
-        pairs = tuple(sorted(frozen_pairs))
-        frozen = tuple(sorted(f for _, f in pairs))
-        mutable = tuple(sorted(set(vertices) - set(frozen)))
-        labels = mutable + frozen
-        index = {v: i for i, v in enumerate(labels)}
-        n = len(labels)
-        rows = [[0] * n for _ in range(n)]
-        for arrow in arrows:
-            if len(arrow) == 2:
-                src, dst, mult = arrow[0], arrow[1], 1
-            else:
-                src, dst, mult = arrow  # type: ignore[misc]
-            for v in (src, dst):
-                if type(v) is not int or v not in index:
-                    raise UnknownVertexError(f"arrow endpoint {v} is not a vertex")
-            if src == dst:
-                raise ValueError(f"loop at vertex {src}: quivers have no loops")
-            if isinstance(mult, bool) or mult < 1:
-                raise ValueError(f"arrow multiplicity must be >= 1, got {mult}")
-            i, j = index[src], index[dst]
-            if rows[j][i] > 0:
-                raise ValueError(f"arrow pair ({src}, {dst}) listed in both directions")
-            rows[i][j] += mult
-            rows[j][i] -= mult
-        return cls(mutable, rows, labels, pairs)
+        vertices, pairs = tuple(vertices), tuple(sorted(map(tuple, frozen_pairs)))
+        q = object.__new__(cls)
+        q._lay_out(tuple(sorted(set(vertices) - {f for _, f in pairs})), pairs)
+        # ``vertices`` may leave out frozen labels: the pairs name them.
+        labels = vertices + tuple(set(q.frozen_labels) - set(vertices))
+        q._validate(labels, [a if len(a) == 3 else (*a, 1) for a in arrows])
+        return q
 
     # -- basic accessors ----------------------------------------------
 
@@ -382,10 +386,7 @@ class Quiver:
         try:
             new = _mutated_rows(self._rows, k, INT_LIMIT)
         except OverflowError as exc:
-            i, j = exc.args
-            raise IntegerOverflowError(
-                f"arrow multiplicity exceeds 64-bit range at ({self._labels[i]}, {self._labels[j]})"
-            ) from None
+            raise _overflow(self._labels, *exc.args) from None
         return self._with_rows(tuple(new))
 
     def walk(self, seq: Iterable[int]) -> Iterator["Quiver"]:

@@ -29,6 +29,7 @@ from redcycle.classify import explore
 from redcycle.catalog import grid_quiver, grid_reddening
 from redcycle.errors import IntegerOverflowError
 from redcycle.formats import load_quiver
+from redcycle import quiver as quiver_module
 from redcycle.quiver import INT_LIMIT
 from redcycle.reddening import is_maximal_green, source_sequence
 
@@ -153,11 +154,19 @@ def test_framings_match_arrow_built_frames():
             got = extend(q)
             offset = got.frozen_pairs[0][1] - got.frozen_pairs[0][0]
             frame = [(v + offset, v) if down else (v, v + offset) for v in q.labels]
-            _assert_same(got, Quiver.from_arrows(
+            arrows = list(q.arrows()) + frame
+            rng.shuffle(arrows)
+            built = Quiver.from_arrows(
                 q.labels + tuple(v + offset for v in q.labels),
-                list(q.arrows()) + frame,
+                arrows,
                 frozen_pairs=[(v, v + offset) for v in q.labels],
-            ))
+            )
+            _assert_same(got, built)
+            # The matrix constructor builds the same quiver from the same
+            # matrix, whatever order its labels are listed in.
+            order = rng.sample(got.labels, len(got.labels))
+            rows = [[got.b(u, w) for w in order] for u in order]
+            _assert_same(Quiver(got.mutable_labels, rows, order, got.frozen_pairs), built)
 
 
 def test_overflow_matches_full_matrix_scan():
@@ -184,6 +193,37 @@ def test_overflow_matches_full_matrix_scan():
     assert _reference_mutate(q, 5)[1] == "arrow multiplicity exceeds 64-bit range at (1, 3)"
     with pytest.raises(IntegerOverflowError, match=r"at \(1, 3\)$"):
         q.mutate(5)
+    # Construction: weights straddling INT_LIMIT, some split into repeated
+    # arrows, make both constructors name the pair a full scan names.
+    rejected = 0
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        labels = rng.sample(range(1, 40), n)
+        rows = [[0] * n for _ in range(n)]
+        arrows = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.5:
+                    w = rng.randint(INT_LIMIT - 2, INT_LIMIT + 2)
+                    s, d = (i, j) if rng.random() < 0.5 else (j, i)
+                    rows[s][d], rows[d][s] = w, -w
+                    part = rng.randint(1, w - 1)
+                    split = [part, w - part] if rng.random() < 0.5 else [w]
+                    arrows += [(labels[s], labels[d], x) for x in split]
+        rng.shuffle(arrows)
+        order = sorted(labels)
+        at = {v: i for i, v in enumerate(labels)}
+        message = _full_scan(order, [[rows[at[u]][at[w]] for w in order] for u in order])
+        builds = (lambda: Quiver(labels, rows, labels), lambda: Quiver.from_arrows(labels, arrows))
+        if message is None:
+            _assert_same(builds[0](), builds[1]())
+            continue
+        rejected += 1
+        for build in builds:
+            with pytest.raises(IntegerOverflowError) as info:
+                build()
+            assert str(info.value) == message
+    assert rejected >= 50
 
 
 def test_validation_happens_only_at_the_boundary(monkeypatch, tmp_path):
@@ -219,6 +259,23 @@ def test_validation_happens_only_at_the_boundary(monkeypatch, tmp_path):
     matrix_doc.write_text(json.dumps({"labels": [1, 2], "b_matrix": [[0, 3], [-3, 0]]}))
     assert load_quiver(str(arrows_doc)) == load_quiver(str(matrix_doc))
     assert len(calls) == 4
+
+
+def test_from_arrows_converts_each_multiplicity_once(monkeypatch):
+    # Building the path on 1,100 vertices used to convert every entry of a
+    # square matrix that from_arrows had filled itself: 1,210,000 calls.
+    calls = []
+    original = quiver_module._as_int
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(quiver_module, "_as_int", counting)
+    arrows = [(v, v + 1) for v in range(1, 1100)]
+    path = Quiver.from_arrows(range(1, 1101), arrows)
+    assert len(calls) <= len(arrows) + 10
+    assert list(path.arrows()) == [(v, v + 1, 1) for v in range(1, 1100)]
 
 
 def test_three_torus_splice_overflow_message_is_unchanged():

@@ -641,6 +641,14 @@ BAD_QUIVERS = {
     "float": b'{"vertices": [1, 2], "arrows": [[1, 2, 1.5]]}',
     "boolean": b'{"labels": [1, 2], "b_matrix": [[0, true], [-1, 0]]}',
     "5,000 digits": b'{"vertices": [1, 2], "arrows": [[1, 2, 1' + b"0" * 5000 + b"]]}",
+    "float vertex": b'{"vertices": [1, 2.0], "arrows": [[1, 2]]}',
+    "boolean label": b'{"labels": [true, 2], "b_matrix": [[0, 1], [-1, 0]]}',
+    "float frozen label": b'{"vertices": [1, 11], "frozen": [[1, 11.0]], "arrows": []}',
+    "short frozen pair": b'{"vertices": [1, 11], "frozen": [[1]], "arrows": []}',
+    "frozen not a list": b'{"vertices": [1, 11], "frozen": 5, "arrows": []}',
+    "arrows not a list": b'{"vertices": [1, 2], "arrows": 5}',
+    "arrow not a list": b'{"vertices": [1, 2], "arrows": [5]}',
+    "null multiplicity": b'{"vertices": [1, 2], "arrows": [[1, 2, null]]}',
 }
 
 BAD_MATRICES = {

@@ -318,11 +318,35 @@ def _zeros(n):
     (([1, 2], [[0, 0]]), "exchange matrix shape does not match labels"),
     (([1, 2], [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], None, [(1, 3), (2, 4)]),
      "arrows between frozen vertices are not stored"),
+    # A float equal to a label is not one, among the given labels or the pairs.
+    (([1, 2.0], _zeros(2), [1, 2]), "labels must be positive integers"),
+    (([1], _zeros(2), [1, 11], [(1, 11.0)]), "labels must be positive integers"),
 ])
 def test_constructor_rejects_malformed_input(args, message):
     with pytest.raises(ValueError) as info:
         Quiver(*args)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("args, message", [
+    (([1, 1], []), "duplicate vertex labels"),
+    (([0, 1], []), "labels must be positive integers"),
+    (([1, 2, 3], [], [(5, 3)]), "invalid frozen pairing"),
+    (([1, 2, 3, 4], [(3, 4)], [(1, 3), (2, 4)]), "arrows between frozen vertices are not stored"),
+    (([1, 2], [], [(1, 3), (2, 3)]), "duplicate vertex labels"),
+    (([1, 11], [], [(1, 11.0)]), "labels must be positive integers"),
+])
+def test_from_arrows_rejects_malformed_input(args, message):
+    # The arrow-form twins of the cases above: one checker gives one message.
+    with pytest.raises(ValueError) as info:
+        Quiver.from_arrows(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("mult", [None, "3", 1.5, [1]])
+def test_from_arrows_multiplicity_is_converted(mult):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        Quiver.from_arrows([1, 2], [(1, 2, mult)])
 
 
 def test_skew_symmetry_enforced():
