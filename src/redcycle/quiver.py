@@ -604,14 +604,31 @@ def find_isomorphism(q1: Quiver, q2: Quiver) -> Permutation | None:
     """
     if q1.mutable_labels != q2.mutable_labels or q1.frozen_pairs != q2.frozen_pairs:
         return None
+    return _matched(q1, q2)
+
+
+def _automorphism(q: Quiver, u: int, v: int) -> Permutation | None:
+    """An automorphism of ``q`` taking mutable index ``u`` to ``v``, or None.
+    Twins (equal rows) are swapped; otherwise ``u`` and ``v`` lead the cells
+    of :func:`find_isomorphism`'s orders, which match when one exists."""
+    if q._rows[u] == q._rows[v]:
+        return Permutation.from_cycles((q.labels[u], q.labels[v]))
+    return _matched(q, q, (u, v))
+
+
+def _matched(q1: Quiver, q2: Quiver, leads: tuple = (None, None)) -> Permutation | None:
+    """Match the canonical orders of ``q1`` and ``q2``, each with its lead
+    index (if not None) alone in the first cell, and check the match."""
     n = q1.rank
     orders = []
-    for q in (q1, q2):
+    for q, lead in zip((q1, q2), leads):
         rows = q._rows
         cells: dict[tuple[int, ...], list[int]] = {}
         for i in range(n):
-            cells.setdefault(rows[i][n:], []).append(i)
-        orders.append(_canonical_order(rows, [cells[key] for key in sorted(cells)]))
+            if i != lead:
+                cells.setdefault(rows[i][n:], []).append(i)
+        first = [] if lead is None else [[lead]]
+        orders.append(_canonical_order(rows, first + [cells[key] for key in sorted(cells)]))
     labels = q1.labels
     sigma = Permutation({labels[a]: labels[b] for a, b in zip(*orders)})
     return sigma if q1.permuted(sigma) == q2 else None

@@ -25,6 +25,15 @@ lookups off the many shallow nodes and the memory small.  Nothing is
 memoized under ``prune_revisited``, where a subtree depends on the path to
 it; under ``first_only`` every stored subtree found nothing, since any find
 ends the search.
+
+First steps are reused across automorphisms, which fix the start: where
+the memo rule applies one step down, the first step at ``v`` is copied from
+the first vertex ``u`` whose row sorts alike when an automorphism ``sigma``
+of ``q`` takes ``u`` to ``v`` (McKay and Piperno, *Practical graph
+isomorphism, II*, 2014).  Mutation commutes with relabeling, so ``v``'s finds
+are ``u``'s under ``sigma``, permutations conjugated, and so are its cuts, as
+the guardrail reads absolute entries; every flag carries over, since a
+``first_only`` search past ``u`` found nothing there.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from .classify import DEFAULT_BUDGET, ClassEnumeration, explore
 from .errors import OutOfRangeError
 from .framing import CMatrix, Color, _color, framed
 from .permutation import Permutation
-from .quiver import MutationSequence, Quiver, _as_int, _mutated_rows
+from .quiver import MutationSequence, Quiver, _as_int, _automorphism, _mutated_rows
 
 #: Abort a search branch once any arrow multiplicity passes this bound.
 WEIGHT_GUARDRAIL = 2**40
@@ -125,11 +134,29 @@ def search_reddening(
     # Trying vertices in ascending order makes this a preorder walk, which
     # emits sequences in lexicographic order.
     key0 = c_key(rows0) if prune_revisited else None
+    # same[i] is the first index whose row sorts like i's; roots[i] is
+    # (len(found), overflow) when the first step at i was tried.
+    same: list[int] = []
+    if max_len - 1 >= _MEMO_MIN_DEPTH:
+        firsts: dict[tuple[int, ...], int] = {}
+        same = [firsts.setdefault(tuple(sorted(row)), i) for i, row in enumerate(q.mutable_rows())]
+    roots: list[tuple[int, int]] = []
     stack = [(rows0, (), key0, enumerate(mutable))] if max_len else []
     path = {key0}
     while stack:
         rows, seq, mark, untried = stack[-1]
         for i, v in untried:
+            if same and not seq:
+                roots.append((len(found), overflow))
+                sigma = _automorphism(q, same[i], i) if same[i] < i else None
+                if sigma is not None:
+                    (start_at, cut_at), (end, cut_end) = roots[same[i]], roots[same[i] + 1]
+                    inverse = sigma.inverse()
+                    copies = [(sigma.map_sequence(s), sigma * p * inverse)
+                              for s, p in found[start_at:end]]
+                    found.extend(sorted(copies, key=lambda item: item[0]))
+                    overflow += cut_end - cut_at
+                    continue
             if reduced_only and seq and v == seq[-1]:
                 continue
             if green_only and _color(rows[i][n:], v) is not Color.GREEN:

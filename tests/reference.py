@@ -42,6 +42,18 @@ def brute_isomorphism(q1: Quiver, q2: Quiver) -> Permutation | None:
     return None
 
 
+def brute_automorphisms(q: Quiver) -> list[Permutation]:
+    """Every relabeling ``sigma`` of ``q``'s mutable labels with
+    ``q.permuted(sigma) == q``, in lexicographic order of images."""
+    labs = q.mutable_labels
+    group = []
+    for image in itertools.permutations(labs):
+        sigma = Permutation(dict(zip(labs, image)))
+        if q.permuted(sigma) == q:
+            group.append(sigma)
+    return group
+
+
 def encode(q: Quiver) -> bytes:
     """The labeled encoding of ``q`` written from scratch, one row of
     ``q.rows()`` after another, frozen rows included (the text

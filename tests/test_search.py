@@ -21,11 +21,17 @@ from redcycle import (
     search_reddening,
 )
 
+import redcycle.quiver as quiver_module
 import redcycle.search as search_module
 from redcycle.cli import main
+from redcycle.quiver import _automorphism
 
 from conftest import random_quiver
-from reference import brute_reddening_sequences, reference_search_reddening
+from reference import (
+    brute_automorphisms,
+    brute_reddening_sequences,
+    reference_search_reddening,
+)
 
 
 def rank2(a: int) -> Quiver:
@@ -189,12 +195,158 @@ def _counted_search(monkeypatch, q, max_len, cap=None, **kwargs):
 
 def test_memo_skips_kernel_calls_with_the_same_result(monkeypatch):
     # The plain tree walk (no memo entries) makes one kernel call per node.
-    box = box_quiver(2, 2)
-    plain, nodes = _counted_search(monkeypatch, box, 8, cap=0, reduced_only=True)
-    memoized, calls = _counted_search(monkeypatch, box, 8, reduced_only=True)
+    # rank2(3) has no automorphism, so only the memo can skip calls.
+    q = rank2(3)
+    plain, nodes = _counted_search(monkeypatch, q, 8, cap=0, weight_limit=2**6)
+    memoized, calls = _counted_search(monkeypatch, q, 8, weight_limit=2**6)
     assert memoized == plain
     assert plain[1] > 0  # the guardrail cuts, inside memoized subtrees too
     assert calls < nodes
+
+
+def _cycle(n: int, weight: int = 1) -> Quiver:
+    """The oriented n-cycle with every arrow of weight ``weight``."""
+    return Quiver.from_arrows(range(1, n + 1), [(v, v % n + 1, weight) for v in range(1, n + 1)])
+
+
+def test_first_step_orbits_match_recursive_reference():
+    # Symmetric quivers, whose first steps the search copies by relabeling
+    # wherever an automorphism takes an earlier vertex to a later one: the
+    # box and grid(2,2), the equal-weight cycles (rotations), the arrowless
+    # quiver and a star (all twins or all leaves twins), and a quiver whose
+    # vertices 2 and 3 are twins.  Every flag combination, at both
+    # guardrails; the orbit rule applies from length 5 on.
+    cases = [
+        box_quiver(2, 2), box_quiver(1, 1), grid_quiver(2, 2), _cycle(3, 2), _cycle(4),
+        Quiver.from_arrows([1, 2, 3], []),
+        Quiver.from_arrows([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)]),
+        Quiver.from_arrows([1, 2, 3, 4], [(1, 2, 2), (1, 3, 2), (2, 4), (3, 4)]),
+    ]
+    flags = ("reduced_only", "green_only", "first_only", "prune_revisited")
+    found = cut = 0
+    for q in cases:
+        for values in itertools.product((False, True), repeat=len(flags)):
+            for max_len in (5, 6):
+                for limit in ({}, {"weight_limit": 2**6}):
+                    kwargs = dict(zip(flags, values), **limit)
+                    result = search_reddening(q, max_len, **kwargs)
+                    expected = reference_search_reddening(q, max_len, **kwargs)
+                    assert (result.sequences, result.overflow_branches) == expected, (
+                        q, max_len, kwargs)
+                    found += len(result)
+                    cut += result.overflow_branches
+    assert found > 0 and cut > 0
+
+
+def _symmetric_quiver(rng: random.Random, n: int) -> Quiver:
+    """A random quiver on 1..n that a random permutation of its vertices
+    fixes: each orbit of ordered pairs shares one weight, 0 where an orbit
+    holds a pair and its reverse."""
+    pi = list(range(n))
+    rng.shuffle(pi)
+    b = [[0] * n for _ in range(n)]
+    done = set()
+    for pair in itertools.permutations(range(n), 2):
+        if pair in done:
+            continue
+        orbit = []
+        while pair not in orbit:
+            orbit.append(pair)
+            pair = (pi[pair[0]], pi[pair[1]])
+        w = 0 if any((j, i) in orbit for i, j in orbit) else rng.randint(-2, 2)
+        for i, j in orbit:
+            b[i][j], b[j][i] = w, -w
+            done.update([(i, j), (j, i)])
+    return Quiver(range(1, n + 1), b)
+
+
+def test_automorphism_helper_matches_brute_force():
+    # Every answer of the helper is checked against the whole group: a
+    # returned sigma is an automorphism taking u to v, and None means none
+    # does, so the pairs it links make up the orbit partition.
+    rng = random.Random(307)
+    cases = [_symmetric_quiver(rng, rng.randint(1, 5)) for _ in range(60)]
+    cases += [random_quiver(rng, max_n=5, max_weight=1) for _ in range(40)]
+    moved = 0
+    for q in cases:
+        group = brute_automorphisms(q)
+        labels = q.mutable_labels
+        linked = {(u, u) for u in range(q.rank)}
+        for u, v in itertools.permutations(range(q.rank), 2):
+            sigma = _automorphism(q, u, v)
+            if sigma is None:
+                assert all(g(labels[u]) != labels[v] for g in group), (q, u, v)
+            else:
+                assert sigma in group and sigma(labels[u]) == labels[v], (q, u, v, sigma)
+                linked.add((u, v))
+                moved += 1
+        orbits = {frozenset(g(x) for g in group) for x in labels}
+        assert orbits == {frozenset(labels[v] for w, v in linked if w == u) for u in range(q.rank)}
+    assert moved > 100
+
+
+def _start_calls(monkeypatch, q, max_len, **kwargs):
+    """``search_reddening`` with the kernel calls it makes from the start
+    state counted: those given the start's rows, the same object."""
+    calls = 0
+    kernel, frame = search_module._mutated_rows, search_module.framed
+    start = []
+
+    def framing(q):
+        framed_q = frame(q)
+        start.append(framed_q.mutable_rows())
+        return framed_q
+
+    def counting(rows, *args):
+        nonlocal calls
+        calls += rows is start[0]
+        return kernel(rows, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search_module, "framed", framing)
+        patch.setattr(search_module, "_mutated_rows", counting)
+        result = search_reddening(q, max_len, **kwargs)
+    return (result.sequences, result.overflow_branches), calls
+
+
+def test_first_steps_are_walked_once_per_orbit(monkeypatch):
+    # The rotation (1 2 3 4) takes vertex 1 to every other vertex of the
+    # box, so one first step is walked; grid(2,2)'s only non-trivial
+    # automorphism is (2 3), so three are.
+    for q, walked in ((box_quiver(2, 2), 1), (grid_quiver(2, 2), 3)):
+        result, calls = _start_calls(monkeypatch, q, 6, reduced_only=True)
+        assert calls == walked
+        assert result == reference_search_reddening(q, 6, reduced_only=True)
+    # Below the memo rule's depth every first step is walked.
+    assert _start_calls(monkeypatch, box_quiver(2, 2), 4)[1] == 4
+
+
+def test_orbit_step_orders_nothing_without_symmetry(monkeypatch):
+    # The orbit step orders vertices only for an earlier vertex whose row
+    # sorts alike and is no twin: never below the memo rule's depth, never
+    # when all sorted rows differ, and never for twins.
+    orders = 0
+    canonical = quiver_module._canonical_order
+
+    def counting(*args):
+        nonlocal orders
+        orders += 1
+        return canonical(*args)
+
+    rng = random.Random(331)
+    distinct = []
+    while len(distinct) < 10:
+        q = random_quiver(rng, min_n=4, max_n=4, max_weight=2)
+        if len({tuple(sorted(row)) for row in q.mutable_rows()}) == 4:
+            distinct.append(q)
+    monkeypatch.setattr(quiver_module, "_canonical_order", counting)
+    assert len(search_reddening(_cycle(300), 1)) == 0
+    for q in distinct:
+        search_reddening(q, 5, reduced_only=True)
+    assert len(search_reddening(Quiver.from_arrows(range(1, 6), []), 5)) == 120
+    assert orders == 0
+    search_reddening(box_quiver(2, 2), 5)
+    assert orders > 0
 
 
 def test_memo_cap_stops_insertion_and_keeps_the_result(monkeypatch):
