@@ -10,6 +10,12 @@ The twin condition is implemented as sign agreement only (``j -> k`` iff
 ``j -> k'`` as directions, multiplicities free): the catalog key has twin
 arrows of unequal weight, so requiring equal multiplicities would reject it.
 The predicates read the mutable rows by index, which is label order.
+
+Each structural test is one generator of its witnesses (points of return,
+key pairs, pre-fork pairs), found one at a time: :func:`classify` collects
+all of them, and :func:`forkless_explore` asks a neighbour only for the
+first witness of the tests that decide whether to keep it, before the
+neighbour gets a canonical form.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import ne
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import AlreadyFramedError, ForkStartError, OutOfRangeError
 from .quiver import Quiver, _as_int, _canonical_order
@@ -68,17 +74,22 @@ def _source_order(rows: Sequence[Sequence[int]], vs: Sequence[int]) -> list[int]
     """The indices ``vs`` in a topological order of the subquiver they span,
     the smallest current source first (Kahn's algorithm on a min-heap);
     None when that subquiver has an oriented cycle."""
-    indegree = {v: sum([rows[v][u] < 0 for u in vs]) for v in vs}
+    heads = {}
+    indegree = dict.fromkeys(vs, 0)
+    for u in vs:
+        row = rows[u]
+        heads[u] = [v for v in vs if row[v] > 0]
+        for v in heads[u]:
+            indegree[v] += 1
     heap = [v for v in vs if not indegree[v]]
     order = []
     while heap:
         u = heapq.heappop(heap)
         order.append(u)
-        for v in vs:
-            if rows[u][v] > 0:
-                indegree[v] -= 1
-                if not indegree[v]:
-                    heapq.heappush(heap, v)
+        for v in heads[u]:
+            indegree[v] -= 1
+            if not indegree[v]:
+                heapq.heappush(heap, v)
     return order if len(order) == len(vs) else None
 
 
@@ -97,15 +108,17 @@ def is_abundant(q: Quiver) -> bool:
     return _abundant(q.mutable_rows(), range(q.rank))
 
 
-def _fork_returns(rows: Sequence[Sequence[int]], vs: Sequence[int]) -> frozenset[int]:
-    """Points of return, as indices, of the subquiver on ``vs``, which the
-    caller found abundant and not acyclic; empty unless it is a fork.
+def _points_of_return(rows: Sequence[Sequence[int]], vs: Sequence[int]) -> Iterator[int]:
+    """Points of return, as indices in ascending order, of the subquiver on
+    ``vs``, found one at a time; none unless it is a fork, so a caller that
+    needs only the first stops there.
 
     Acyclic quivers are never forks: a source would satisfy the path
     condition vacuously, and abundant acyclic quivers must stay on the
     forkless side for the closure properties to hold.
     """
-    returns = []
+    if not _abundant(rows, vs) or _source_order(rows, vs) is not None:
+        return
     for r in vs:
         rest = [v for v in vs if v != r]
         row = rows[r]  # b(i, r) = -row[i]
@@ -114,21 +127,56 @@ def _fork_returns(rows: Sequence[Sequence[int]], vs: Sequence[int]) -> frozenset
         if all(rows[j][i] > max(-row[i], row[j]) for i in ins for j in outs) and (
             _source_order(rows, rest) is not None
         ):
-            returns.append(r)
-    return frozenset(returns)
+            yield r
 
 
-def _twin_pairs(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+def _twin_pairs(rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
     """Pairs (k, k') whose arrows to every third vertex agree in direction:
     their sign rows are equal when no arrow joins them, and differ only at k
     and k' when one does."""
     sign = [[(x > 0) - (x < 0) for x in row] for row in rows]
-    pairs = []
     for k, kp in combinations(range(len(rows)), 2):
         s, t = sign[k], sign[kp]
         if sum(map(ne, s, t)) == 2 if rows[k][kp] else s == t:
-            pairs.append((k, kp))
-    return pairs
+            yield k, kp
+
+
+def _twin_deletions(
+    rows: Sequence[Sequence[int]],
+) -> Iterator[tuple[tuple[int, int], list[int], list[int]]]:
+    """Each twin pair (k, k') with the indices left by deleting k and those
+    left by deleting k'.  Below rank 3 there are none: there the twin
+    conditions hold vacuously (single-vertex deletions are trivially
+    abundant acyclic), which would make every 2-vertex quiver a key, so the
+    key/pre-fork notions start at rank 3."""
+    n = len(rows)
+    for k, kp in _twin_pairs(rows) if n >= 3 else ():
+        yield (k, kp), [v for v in range(n) if v != k], [v for v in range(n) if v != kp]
+
+
+def _key_pairs(rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
+    """Twin pairs (k, k') of an acyclic quiver whose two single-vertex
+    deletions are abundant (and acyclic with it); none when the quiver is
+    not acyclic."""
+    if _source_order(rows, range(len(rows))) is None:
+        return
+    for pair, del_k, del_kp in _twin_deletions(rows):
+        if _abundant(rows, del_k) and _abundant(rows, del_kp):
+            yield pair
+
+
+def _prefork_pairs(rows: Sequence[Sequence[int]]) -> Iterator[tuple[tuple[int, int], int]]:
+    """``((k, k'), r)`` for each twin pair of a non-acyclic quiver whose two
+    single-vertex deletions are forks with the common point of return r;
+    none when the quiver is acyclic (so are its deletions, and never forks)."""
+    if _source_order(rows, range(len(rows))) is not None:
+        return
+    for pair, del_k, del_kp in _twin_deletions(rows):
+        common = frozenset(_points_of_return(rows, del_k))
+        if common:
+            common &= frozenset(_points_of_return(rows, del_kp))
+        for r in sorted(common):
+            yield pair, r
 
 
 def classify(q: Quiver) -> ClassificationReport:
@@ -136,37 +184,18 @@ def classify(q: Quiver) -> ClassificationReport:
 
     All candidate return points and vertex pairs are tried exhaustively;
     target sizes (n <= 16) keep this immediate.  A vertex deletion is the
-    list of the other indices into ``q``'s rows; it is acyclic when ``q``
-    is, so it can be a fork only when ``q`` is not.
+    list of the other indices into ``q``'s rows.  :func:`forkless_explore`
+    asks the same generators only for their first answer.
     """
     if q.is_framed:
         raise AlreadyFramedError("classify expects an unframed quiver")
     mut, rows, vs = q.mutable_labels, q.mutable_rows(), range(q.rank)
-    acyclic = _source_order(rows, vs) is not None
-    abundant = _abundant(rows, vs)
-    returns = _fork_returns(rows, vs) if abundant and not acyclic else ()
-
-    key_pairs = []
-    prefork_pairs = []
-    # Below rank 3 the twin conditions hold vacuously (single-vertex
-    # deletions are trivially abundant acyclic), which would make every
-    # 2-vertex quiver a key; the key/pre-fork notions start at rank 3.
-    for k, kp in _twin_pairs(rows) if q.rank >= 3 else []:
-        del_k = [v for v in vs if v != k]
-        del_kp = [v for v in vs if v != kp]
-        if acyclic:
-            if _abundant(rows, del_k) and _abundant(rows, del_kp):
-                key_pairs.append(((mut[k], mut[kp]), rows[k][kp]))
-        elif all(_abundant(rows, d) and _source_order(rows, d) is None for d in (del_k, del_kp)):
-            common = _fork_returns(rows, del_k) & _fork_returns(rows, del_kp)
-            prefork_pairs.extend(((mut[k], mut[kp]), mut[r]) for r in sorted(common))
-
     report = ClassificationReport(
-        acyclic=acyclic,
-        abundant=abundant,
-        fork_returns=frozenset([mut[r] for r in returns]),
-        key_pairs=tuple(key_pairs),
-        prefork_pairs=tuple(prefork_pairs),
+        acyclic=_source_order(rows, vs) is not None,
+        abundant=_abundant(rows, vs),
+        fork_returns=frozenset([mut[r] for r in _points_of_return(rows, vs)]),
+        key_pairs=tuple([((mut[k], mut[kp]), rows[k][kp]) for k, kp in _key_pairs(rows)]),
+        prefork_pairs=tuple([((mut[k], mut[kp]), mut[r]) for (k, kp), r in _prefork_pairs(rows)]),
     )
     assert not report.fork_returns or report.abundant
     assert not report.key_pairs or report.acyclic
@@ -193,7 +222,7 @@ def canonical_form(q: Quiver) -> bytes:
 def explore(
     q: Quiver,
     node_budget: int = DEFAULT_BUDGET,
-    keep: Callable[[bytes, Quiver], bool] | None = None,
+    keep: Callable[[Quiver], bool] | None = None,
 ) -> ClassEnumeration:
     """Breadth-first walk of the mutation class of ``q`` up to isomorphism.
 
@@ -203,15 +232,19 @@ def explore(
     emptied first.  Each level is expanded in canonical-form order, so the
     walk is deterministic.
 
-    A new form is kept only if ``keep(form, quiver)`` accepts it; the start
-    is always kept.  Deduplication comes first, and a rejected form is never
-    looked at again, which is sound because ``keep`` must be an isomorphism
-    invariant (fork, pre-fork and key status are).
+    A neighbour is kept only if ``keep(quiver)`` accepts it; the start is
+    always kept.  ``keep`` is asked before the neighbour gets a canonical
+    form, so a rejected neighbour never gets one.  Nothing remembers a
+    rejected form: ``keep`` is asked of every neighbour on rows no stored
+    state has, so a form met again on other rows, kept or not, is asked
+    again.  This is sound because ``keep`` must be an isomorphism invariant
+    (fork and pre-fork status are).
 
     Labels stay fixed, so a neighbour with a stored representative's rows is
-    that quiver and needs no canonical form.  A vertex whose row repeats an
-    earlier row, or the entry vertex's row, is skipped: such twins share no
-    arrow, swapping them is an automorphism, and the form is already known.
+    that quiver and is neither tested nor given a canonical form.  A vertex
+    whose row repeats an earlier row, or the entry vertex's row, is skipped:
+    such twins share no arrow, swapping them is an automorphism, and the
+    form is already known.
     """
     node_budget = _as_int(node_budget)
     if node_budget < 1:
@@ -219,7 +252,6 @@ def explore(
     start = canonical_form(q)
     forms: dict[bytes, Quiver] = {start: q}
     stored = {q.mutable_rows()}
-    rejected: set[bytes] = set()
     # Each entry carries the row of its entry vertex: mutating there gives
     # back the parent.
     level: dict[bytes, tuple[Quiver, tuple[int, ...] | None]] = {start: (q, None)}
@@ -233,11 +265,10 @@ def explore(
                 neighbor = rep.mutate(v)
                 if neighbor.mutable_rows() in stored:
                     continue
-                form = canonical_form(neighbor)
-                if form in forms or form in rejected:
+                if keep is not None and not keep(neighbor):
                     continue
-                if keep is not None and not keep(form, neighbor):
-                    rejected.add(form)
+                form = canonical_form(neighbor)
+                if form in forms:
                     continue
                 forms[form] = neighbor
                 stored.add(neighbor.mutable_rows())
@@ -246,6 +277,12 @@ def explore(
                     return ClassEnumeration(forms, False)
         level = next_level
     return ClassEnumeration(forms, len(forms) < node_budget)
+
+
+def _found(answers: Iterator[object]) -> bool:
+    """Whether a generator of answers has a first one (a point of return may
+    be index 0, which is falsy, so :func:`any` will not do)."""
+    return next(answers, None) is not None
 
 
 def forkless_explore(
@@ -257,8 +294,16 @@ def forkless_explore(
     With ``discard_preforks`` the walk also drops pre-forks, exploring the
     pre-forkless part instead; some quivers (the weighted box, for one)
     have an infinite forkless part but a finite pre-forkless one, so only
-    the latter exploration can exhaust.  The start is classified once and
-    each new form once.
+    the latter exploration can exhaust.
+
+    The start is classified once, by :func:`classify`.  Each new neighbour
+    is asked only what decides whether to keep it, by the generators that
+    :func:`classify` collects, each stopped at its first answer: an acyclic
+    neighbour is kept, one with a point of return is a fork, and only with
+    ``discard_preforks`` is a pre-fork pair looked for.  A form met again on
+    new rows is tested again (see :func:`explore`).  After the walk, each
+    kept form but the start is tested once for a key pair; ``key_forms``
+    follows the order of ``forms``, the start's first.
 
     Raises ForkStartError when the starting quiver is itself a fork.
     """
@@ -266,15 +311,16 @@ def forkless_explore(
     start = classify(q)
     if start.is_fork:
         raise ForkStartError("starting quiver is a fork")
-    key_forms: dict[bytes, Quiver] = {}
 
-    def keep(form: bytes, rep: Quiver) -> bool:
-        report = classify(rep)
-        if report.is_key:  # a key is acyclic: never a fork nor a pre-fork, so kept
-            key_forms[form] = rep
-        return not (report.is_fork or (discard_preforks and report.is_prefork))
+    def keep(rep: Quiver) -> bool:
+        rows = rep.mutable_rows()
+        if _found(_points_of_return(rows, range(rep.rank))):
+            return False
+        return not (discard_preforks and _found(_prefork_pairs(rows)))
 
     walk = explore(q, node_budget, keep)
-    if start.is_key:  # the start's form comes first
-        key_forms = {next(iter(walk.forms)): q, **key_forms}
+    reps = iter(walk.forms.items())
+    first = next(reps)  # the start's, whose key pairs classify has found
+    key_forms = dict([first] if start.is_key else [])
+    key_forms.update((form, rep) for form, rep in reps if _found(_key_pairs(rep.mutable_rows())))
     return ClassEnumeration(walk.forms, walk.exhausted, key_forms)

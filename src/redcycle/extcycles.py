@@ -256,12 +256,11 @@ def is_distinguishing(
     ``I_k`` is the arrowless quiver on k fresh consecutive labels placed
     above every label of ``t``.
     """
-    mat = _as_matrix(a)
-    if len(mat) != t.rank:  # any width will do, so only the row count is wanted
-        raise ShapeError(f"extension matrix must have {t.rank} row(s): {len(mat)} given")
-    k = len(mat[0]) if mat else 0
+    if len(a) != t.rank:  # any width will do, so only the row count is wanted
+        raise ShapeError(f"extension matrix must have {t.rank} row(s): {len(a)} given")
+    k = len(a[0]) if len(a) else 0
     base = max(t.labels, default=0)
     isolated = Quiver.from_arrows(range(base + 1, base + 1 + k), [])
-    ext = triangular_extension(ExtensionSpec(t, isolated, mat))
+    ext = triangular_extension(ExtensionSpec(t, isolated, a))  # which converts ``a``
     # Labels are fixed along one walk, so the mutable rows tell its states apart.
     return len({state.mutable_rows() for state in ext.walk(seq)}) == len(seq) + 1

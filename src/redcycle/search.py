@@ -28,12 +28,13 @@ ends the search.
 
 First steps are reused across automorphisms, which fix the start: where
 the memo rule applies one step down, the first step at ``v`` is copied from
-the first vertex ``u`` whose row sorts alike when an automorphism ``sigma``
-of ``q`` takes ``u`` to ``v`` (McKay and Piperno, *Practical graph
-isomorphism, II*, 2014).  Mutation commutes with relabeling, so ``v``'s finds
-are ``u``'s under ``sigma``, permutations conjugated, and so are its cuts, as
-the guardrail reads absolute entries; every flag carries over, since a
-``first_only`` search past ``u`` found nothing there.
+the first walked vertex ``u`` whose row sorts alike that an automorphism
+``sigma`` of ``q`` takes to ``v`` (McKay and Piperno, *Practical graph
+isomorphism, II*, 2014), so one first step is walked per orbit.  Mutation
+commutes with relabeling, so ``v``'s finds are ``u``'s under ``sigma``,
+permutations conjugated, and so are its cuts, as the guardrail reads
+absolute entries; every flag carries over, since a ``first_only`` search
+past ``u`` found nothing there.
 """
 
 from __future__ import annotations
@@ -134,23 +135,30 @@ def search_reddening(
     # Trying vertices in ascending order makes this a preorder walk, which
     # emits sequences in lexicographic order.
     key0 = c_key(rows0) if prune_revisited else None
-    # same[i] is the first index whose row sorts like i's; roots[i] is
+    # alike[i] is i's row sorted; walked maps a sorted row to the indices
+    # with it whose first steps were walked, not copied; roots[i] is
     # (len(found), overflow) when the first step at i was tried.
-    same: list[int] = []
+    alike: list[tuple[int, ...]] = []
     if max_len - 1 >= _MEMO_MIN_DEPTH:
-        firsts: dict[tuple[int, ...], int] = {}
-        same = [firsts.setdefault(tuple(sorted(row)), i) for i, row in enumerate(q.mutable_rows())]
+        alike = [tuple(sorted(row)) for row in q.mutable_rows()]
+    walked: dict[tuple[int, ...], list[int]] = {}
     roots: list[tuple[int, int]] = []
     stack = [(rows0, (), key0, enumerate(mutable))] if max_len else []
     path = {key0}
     while stack:
         rows, seq, mark, untried = stack[-1]
         for i, v in untried:
-            if same and not seq:
+            if alike and not seq:
                 roots.append((len(found), overflow))
-                sigma = _automorphism(q, same[i], i) if same[i] < i else None
-                if sigma is not None:
-                    (start_at, cut_at), (end, cut_end) = roots[same[i]], roots[same[i] + 1]
+                earlier, sigma = walked.setdefault(alike[i], []), None
+                for u in earlier:
+                    sigma = _automorphism(q, u, i)
+                    if sigma is not None:
+                        break
+                if sigma is None:
+                    earlier.append(i)
+                else:
+                    (start_at, cut_at), (end, cut_end) = roots[u], roots[u + 1]
                     inverse = sigma.inverse()
                     copies = [(sigma.map_sequence(s), sigma * p * inverse)
                               for s, p in found[start_at:end]]

@@ -266,7 +266,7 @@ def test_twin_pairs_match_the_whole_sign_row_count():
     found = {"joined": 0, "apart": 0}
     for b in matrices:
         rows = [tuple(row) for row in b]
-        pairs = _twin_pairs(rows)
+        pairs = list(_twin_pairs(rows))
         assert pairs == reference.twin_pairs(rows), rows
         for k, kp in pairs:
             found["joined" if rows[k][kp] else "apart"] += 1
@@ -633,25 +633,125 @@ def test_forkless_explore_budget_halts():
     assert len(report.forms) == 2
 
 
-def test_forkless_explore_classifies_each_form_once(monkeypatch):
+def test_forkless_explore_canonicalizes_only_kept_neighbours(monkeypatch):
+    # The walk's predicate runs before canonical_form, so no neighbour it
+    # rejects gets a canonical form, and classify runs once per call, on
+    # the start.
     module = importlib.import_module("redcycle.classify")
-    real = module.classify
-    seen: list[bytes] = []
+    canonical, classified, rejected = [], [], []
+    real_canonical, real_classify, real_explore = (
+        module.canonical_form, module.classify, module.explore)
 
-    def counting(q):
-        seen.append(canonical_form(q))
-        return real(q)
+    def counting_canonical(q):
+        canonical.append(q.mutable_rows())
+        return real_canonical(q)
 
-    monkeypatch.setattr(module, "classify", counting)
-    for q, discard in (
-        (catalog_item("infinite_reduced_key").quivers["Q"], True),
-        (catalog_item("infinite_reduced_key").quivers["Q"], False),
-        (box_quiver(2, 2), False),
-    ):
-        seen.clear()
+    def counting_classify(q):
+        classified.append(q.mutable_rows())
+        return real_classify(q)
+
+    def recording_explore(q, budget, keep):
+        def recorded(rep):
+            kept = keep(rep)
+            if not kept:
+                rejected.append(rep.mutable_rows())
+            return kept
+        return real_explore(q, budget, recorded)
+
+    monkeypatch.setattr(module, "canonical_form", counting_canonical)
+    monkeypatch.setattr(module, "classify", counting_classify)
+    monkeypatch.setattr(module, "explore", recording_explore)
+    key = catalog_item("infinite_reduced_key").quivers["Q"]
+    for q, discard in ((key, True), (key, False), (box_quiver(2, 2), False)):
+        canonical.clear(), classified.clear(), rejected.clear()
         report = forkless_explore(q, node_budget=30, discard_preforks=discard)
-        assert len(seen) == len(set(seen))
-        assert set(report.forms) <= set(seen)
+        assert classified == [q.mutable_rows()]
+        assert rejected and not set(rejected) & set(canonical), q
+        assert {rep.mutable_rows() for rep in report.forms.values()} <= set(canonical)
+
+
+def _walk_keep(monkeypatch, discard: bool):
+    """The predicate ``forkless_explore`` hands to :func:`explore`, caught
+    by a patched ``explore`` on a walk from the one-vertex quiver."""
+    module = importlib.import_module("redcycle.classify")
+    real, caught = module.explore, []
+
+    def catching(q, budget, keep):
+        caught.append(keep)
+        return real(q, budget, keep)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "explore", catching)
+        forkless_explore(Quiver.from_arrows([1], []), 1, discard)
+    return caught[0]
+
+
+def _weight_three_mix(rng: random.Random) -> list[Quiver]:
+    """Quivers of rank 2-6 with |b| <= 3, a third of them arbitrary.  The
+    rest are abundant: double arrows from vertex 1 to the vertices before a
+    cut of a random order of the others and into it from those after the
+    cut, the order's pairs joined by 2 or 3 arrows along it and by 3 across
+    the cut (a fork when the cut leaves both sides non-empty); half of them
+    get a vertex that copies the directions of another (a twin), which
+    often makes a key or a pre-fork.  Each is relabeled at random, so a
+    point of return may sit at any index."""
+    mix = []
+    for i in range(330):
+        n = rng.randint(2, 6)
+        if i % 3 == 0:
+            mix.append(random_quiver(rng, n, 3, min_n=n))
+            continue
+        twin = i % 3 == 2 and n > 2
+        order = rng.sample(range(2, n + 1 - twin), n - 1 - twin)
+        cut = rng.randint(0, len(order))
+        arrows = [(1, u, 2) if x < cut else (u, 1, 2) for x, u in enumerate(order)]
+        arrows += [(u, v, 3 if x < cut <= y else rng.randint(2, 3))
+                   for (x, u), (y, v) in itertools.combinations(enumerate(order), 2)]
+        if twin:
+            k = rng.randint(1, n - 1)
+            arrows += [(n if t == k else t, n if h == k else h, rng.randint(2, 3))
+                       for t, h, _ in arrows if k in (t, h)]
+            w = rng.randint(-3, 3)
+            arrows += [(k, n, w)] if w > 0 else [(n, k, -w)] if w else []
+        q = Quiver.from_arrows(range(1, n + 1), arrows)
+        mix.append(q.relabeled(dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))))
+    return mix
+
+
+def test_walk_predicates_answer_as_classify_and_the_reference(monkeypatch):
+    # The forkless walk asks its generators only for a first witness; its
+    # fork, key and pre-fork answers, and its keep decision with and
+    # without discard_preforks, must be classify's and the reference's.
+    rng = random.Random(2309)
+    types = catalog_item("quiver_types").quivers
+    cases = _weight_three_mix(rng) + [types["fork"], types["key"], types["prefork"]]
+    keeps = {discard: _walk_keep(monkeypatch, discard) for discard in (False, True)}
+    seen = {"fork": 0, "key": 0, "prefork": 0, "first return at 0": 0, "past 0": 0}
+    module = importlib.import_module("redcycle.classify")
+    for q in cases:
+        rows, vs = q.mutable_rows(), range(q.rank)
+        walk = (module._found(module._points_of_return(rows, vs)),
+                module._found(module._key_pairs(rows)),
+                module._found(module._prefork_pairs(rows)))
+        for report in (classify(q), reference.classify(q)):
+            assert walk == (bool(report.fork_returns), bool(report.key_pairs),
+                            bool(report.prefork_pairs)), q
+        for discard, keep in keeps.items():
+            assert keep(q) is not (walk[0] or (discard and walk[2])), (q, discard)
+        seen["fork"] += walk[0]
+        seen["key"] += walk[1]
+        seen["prefork"] += walk[2]
+        first = next(module._points_of_return(rows, vs), None)
+        seen["first return at 0"] += first == 0
+        seen["past 0"] += bool(first)
+    assert all(count >= 10 for count in seen.values()), seen
+    # The catalog fork's only point of return is vertex 1, index 0: a first
+    # witness that is falsy still counts.
+    fork = types["fork"]
+    assert fork.mutable_labels[0] == 1
+    assert classify(fork).fork_returns == reference.classify(fork).fork_returns == {1}
+    assert list(module._points_of_return(fork.mutable_rows(), range(fork.rank))) == [0]
+    assert not keeps[False](fork)
 
 
 def test_forkless_explore_rejects_budget_below_one():

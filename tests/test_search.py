@@ -321,6 +321,36 @@ def test_first_steps_are_walked_once_per_orbit(monkeypatch):
     assert _start_calls(monkeypatch, box_quiver(2, 2), 4)[1] == 4
 
 
+def _orbits(q: Quiver) -> int:
+    """The number of orbits of the automorphism group on the vertices."""
+    group = brute_automorphisms(q)
+    return len({frozenset(g(v) for g in group) for v in q.mutable_labels})
+
+
+def test_first_steps_are_walked_once_per_orbit_past_the_first_alike_vertex(monkeypatch):
+    # Vertices 4 and 5 are twins, and 3's row sorts like theirs but no
+    # automorphism takes 3 to 5: 5 is copied from 4, not compared with 3
+    # alone.  Then seeded rank-5 quivers, half of them fixed by a random
+    # permutation, each walking one first step per orbit.
+    q = Quiver.from_arrows(range(1, 6), [(2, 1), (3, 1), (4, 2), (5, 2)])
+    flags = ("reduced_only", "green_only", "first_only", "prune_revisited")
+    for values in itertools.product((False, True), repeat=len(flags)):
+        kwargs = dict(zip(flags, values))
+        result, calls = _start_calls(monkeypatch, q, 5, **kwargs)
+        assert result == reference_search_reddening(q, 5, **kwargs), kwargs
+        assert kwargs["first_only"] or calls == _orbits(q) == 4, kwargs
+    rng = random.Random(347)
+    sample = [_symmetric_quiver(rng, 5) if i % 2 else random_quiver(rng, 5, 1, min_n=5)
+              for i in range(24)]
+    moved = 0
+    for p in sample:
+        result, calls = _start_calls(monkeypatch, p, 5, reduced_only=True)
+        assert result == reference_search_reddening(p, 5, reduced_only=True), p
+        assert calls == _orbits(p), p
+        moved += calls < 5
+    assert moved >= 6
+
+
 def test_orbit_step_orders_nothing_without_symmetry(monkeypatch):
     # The orbit step orders vertices only for an earlier vertex whose row
     # sorts alike and is no twin: never below the memo rule's depth, never
