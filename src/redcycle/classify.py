@@ -98,9 +98,15 @@ def _abundant(rows: Sequence[Sequence[int]], vs: Sequence[int]) -> bool:
     return all(abs(rows[u][v]) >= 2 for i, u in enumerate(vs) for v in vs[i + 1 :])
 
 
+def _acyclic(rows: Sequence[Sequence[int]], vs: Sequence[int], known: bool | None = None) -> bool:
+    """``known`` when the caller has it, else whether the subquiver on the
+    indices ``vs`` has no oriented cycle."""
+    return _source_order(rows, vs) is not None if known is None else known
+
+
 def is_acyclic(q: Quiver) -> bool:
     """True when the mutable part has no oriented cycle."""
-    return _source_order(q.mutable_rows(), range(q.rank)) is not None
+    return _acyclic(q.mutable_rows(), range(q.rank))
 
 
 def is_abundant(q: Quiver) -> bool:
@@ -108,16 +114,19 @@ def is_abundant(q: Quiver) -> bool:
     return _abundant(q.mutable_rows(), range(q.rank))
 
 
-def _points_of_return(rows: Sequence[Sequence[int]], vs: Sequence[int]) -> Iterator[int]:
+def _points_of_return(
+    rows: Sequence[Sequence[int]], vs: Sequence[int], acyclic: bool | None = None
+) -> Iterator[int]:
     """Points of return, as indices in ascending order, of the subquiver on
     ``vs``, found one at a time; none unless it is a fork, so a caller that
-    needs only the first stops there.
+    needs only the first stops there.  ``acyclic`` is that subquiver's
+    acyclicity when the caller knows it (see :func:`_acyclic`).
 
     Acyclic quivers are never forks: a source would satisfy the path
     condition vacuously, and abundant acyclic quivers must stay on the
     forkless side for the closure properties to hold.
     """
-    if not _abundant(rows, vs) or _source_order(rows, vs) is not None:
+    if not _abundant(rows, vs) or _acyclic(rows, vs, acyclic):
         return
     for r in vs:
         rest = [v for v in vs if v != r]
@@ -125,7 +134,7 @@ def _points_of_return(rows: Sequence[Sequence[int]], vs: Sequence[int]) -> Itera
         ins = [i for i in rest if row[i] < 0]
         outs = [j for j in rest if row[j] > 0]
         if all(rows[j][i] > max(-row[i], row[j]) for i in ins for j in outs) and (
-            _source_order(rows, rest) is not None
+            _acyclic(rows, rest)
         ):
             yield r
 
@@ -154,22 +163,27 @@ def _twin_deletions(
         yield (k, kp), [v for v in range(n) if v != k], [v for v in range(n) if v != kp]
 
 
-def _key_pairs(rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
+def _key_pairs(
+    rows: Sequence[Sequence[int]], acyclic: bool | None = None
+) -> Iterator[tuple[int, int]]:
     """Twin pairs (k, k') of an acyclic quiver whose two single-vertex
     deletions are abundant (and acyclic with it); none when the quiver is
-    not acyclic."""
-    if _source_order(rows, range(len(rows))) is None:
+    not acyclic (``acyclic``, when the caller knows it)."""
+    if not _acyclic(rows, range(len(rows)), acyclic):
         return
     for pair, del_k, del_kp in _twin_deletions(rows):
         if _abundant(rows, del_k) and _abundant(rows, del_kp):
             yield pair
 
 
-def _prefork_pairs(rows: Sequence[Sequence[int]]) -> Iterator[tuple[tuple[int, int], int]]:
+def _prefork_pairs(
+    rows: Sequence[Sequence[int]], acyclic: bool | None = None
+) -> Iterator[tuple[tuple[int, int], int]]:
     """``((k, k'), r)`` for each twin pair of a non-acyclic quiver whose two
     single-vertex deletions are forks with the common point of return r;
-    none when the quiver is acyclic (so are its deletions, and never forks)."""
-    if _source_order(rows, range(len(rows))) is not None:
+    none when the quiver is acyclic (``acyclic``, when the caller knows it),
+    as its deletions are then acyclic too, and never forks."""
+    if _acyclic(rows, range(len(rows)), acyclic):
         return
     for pair, del_k, del_kp in _twin_deletions(rows):
         common = frozenset(_points_of_return(rows, del_k))
@@ -190,12 +204,14 @@ def classify(q: Quiver) -> ClassificationReport:
     if q.is_framed:
         raise AlreadyFramedError("classify expects an unframed quiver")
     mut, rows, vs = q.mutable_labels, q.mutable_rows(), range(q.rank)
+    acyclic = _acyclic(rows, vs)
+    keys, preforks = _key_pairs(rows, acyclic), _prefork_pairs(rows, acyclic)
     report = ClassificationReport(
-        acyclic=_source_order(rows, vs) is not None,
+        acyclic=acyclic,
         abundant=_abundant(rows, vs),
-        fork_returns=frozenset([mut[r] for r in _points_of_return(rows, vs)]),
-        key_pairs=tuple([((mut[k], mut[kp]), rows[k][kp]) for k, kp in _key_pairs(rows)]),
-        prefork_pairs=tuple([((mut[k], mut[kp]), mut[r]) for (k, kp), r in _prefork_pairs(rows)]),
+        fork_returns=frozenset([mut[r] for r in _points_of_return(rows, vs, acyclic)]),
+        key_pairs=tuple([((mut[k], mut[kp]), rows[k][kp]) for k, kp in keys]),
+        prefork_pairs=tuple([((mut[k], mut[kp]), mut[r]) for (k, kp), r in preforks]),
     )
     assert not report.fork_returns or report.abundant
     assert not report.key_pairs or report.acyclic
@@ -313,10 +329,13 @@ def forkless_explore(
         raise ForkStartError("starting quiver is a fork")
 
     def keep(rep: Quiver) -> bool:
-        rows = rep.mutable_rows()
-        if _found(_points_of_return(rows, range(rep.rank))):
+        rows, vs = rep.mutable_rows(), range(rep.rank)
+        # Under discard_preforks, a neighbour that is not a fork gets a
+        # pre-fork test, and either test needs its acyclicity: find it once.
+        acyclic = _acyclic(rows, vs) if discard_preforks else None
+        if _found(_points_of_return(rows, vs, acyclic)):
             return False
-        return not (discard_preforks and _found(_prefork_pairs(rows)))
+        return not (discard_preforks and _found(_prefork_pairs(rows, acyclic)))
 
     walk = explore(q, node_budget, keep)
     reps = iter(walk.forms.items())

@@ -10,8 +10,8 @@ A framed state is the n mutable rows over the n + m columns of its
 labels, mutable then frozen (:meth:`Quiver.mutable_rows`); the frozen rows
 are implied, each minus a column of those rows.  From ``framed(q)`` on, the
 i-th mutable label's partner is column n + i, so the C-matrix is the right
-half of the rows, which one generator yields per step and the search slices
-alike; :func:`read_c_matrix` reads any framed state, crossed pairings too.
+half of the rows, which the framed walks and the search slice alike;
+:func:`read_c_matrix` reads any framed state, crossed pairings too.
 Every color and reddening verdict in the package comes from here.
 """
 
@@ -152,33 +152,39 @@ def read_c_matrix(framed_state: Quiver) -> CMatrix:
     return CMatrix(mutable, tuple([tuple([b(v, partner[w]) for w in mutable]) for v in mutable]))
 
 
-def _c_walk(q: Quiver, seq: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
-    """The C-matrix rows of each state of ``framed(q).walk(seq)``: the right
-    half of its mutable rows, since the i-th mutable label's partner sits in
-    column n + i.  An entry of ``seq`` that is not a mutable label of ``q``
+def _framed_walk(q: Quiver, seq: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The mutable rows of each state of ``framed(q).walk(seq)``, whose right
+    half is the C-matrix, since the i-th mutable label's partner sits in
+    column n + i.  A step shares the rows it leaves alone with the state
+    before it.  An entry of ``seq`` that is not a mutable label of ``q``
     raises before the walk starts, after ``framed`` has checked ``q``."""
     start = framed(q)
     known = set(q.mutable_labels)
     for v in seq:
         if v not in known:
             raise UnknownVertexError(f"unknown vertex {v}")
-    n = q.rank
     for state in start.walk(seq):
-        yield [row[n:] for row in state.mutable_rows()]
+        yield state.mutable_rows()
 
 
 def c_matrix(q: Quiver, seq: Iterable[int]) -> CMatrix:
     """Frame ``q``, mutate along ``seq``, and return the resulting C-matrix.
 
     Sign-coherence and the no-zero-row property are asserted at every
-    intermediate step, not just at the end.  An entry of ``seq`` that is not
-    a mutable label of ``q`` raises ``UnknownVertexError`` before the walk
-    starts, the labels of the frame included: they are internal to the walk.
+    intermediate step, not just at the end: a row is checked when it is new,
+    a row a step leaves alone (the same object) having passed already.  An
+    entry of ``seq`` that is not a mutable label of ``q`` raises
+    ``UnknownVertexError`` before the walk starts, the labels of the frame
+    included: they are internal to the walk.
     """
-    for rows in _c_walk(q, tuple(seq)):
-        for v, row in zip(q.mutable_labels, rows):
-            _color(row, v)  # raises on a mixed-sign or zero row
-    return CMatrix(q.mutable_labels, tuple(rows))
+    n, labels = q.rank, q.mutable_labels
+    last: Sequence = (None,) * n
+    for rows in _framed_walk(q, tuple(seq)):
+        for v, row, old in zip(labels, rows, last):
+            if row is not old:
+                _color(row[n:], v)  # raises on a mixed-sign or zero row
+        last = rows
+    return CMatrix(labels, tuple([row[n:] for row in last]))
 
 
 def vertex_color(framed_state: Quiver, v: int) -> Color:

@@ -24,11 +24,14 @@ Tuples are built from lists: CPython's ``tuple(generator)`` resizes a 10-slot
 tuple, so the free lists of the other sizes fill with memory nothing reuses.
 
 Input is validated where it enters the library, by :meth:`Quiver._validate`
-alone: labels, the frozen pairing, arrow endpoints, loops, multiplicities
-(each converted once), pairs listed in both directions, the 64-bit range and
-frozen-frozen arrows.  :meth:`Quiver.from_arrows` adds a check of each arrow's
-shape, ``Quiver(...)`` a matrix's own (entries convert to integers, shape,
-zero diagonal, skew-symmetry).  Quivers derived from checked ones (mutation,
+alone: labels and the frozen pairing, then the arrows, from one of two
+readers it calls, then the 64-bit range and frozen-frozen arrows.  The
+reader of :meth:`Quiver.from_arrows` checks arrow endpoints, loops,
+multiplicities (each converted once) and pairs listed in both directions,
+after ``from_arrows`` has checked each arrow's shape; that of ``Quiver(...)``
+a matrix's shape, zero diagonal and skew-symmetry, after its entries have
+converted to integers, and finds the arrows as indices without naming them
+by label.  Quivers derived from checked ones (mutation,
 restriction, the opposite, relabelings, framings) go through the private
 trusted constructor, which checks nothing: the mutation kernel checks the
 64-bit range of the entries it grows.  ``extcycles.triangular_extension``
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     FrozenVertexError,
@@ -130,6 +133,32 @@ def _mutated_rows(
     return new
 
 
+def _overflows(rows: Sequence[Sequence[int]], k: int, limit: int) -> bool:
+    """Whether :func:`_mutated_rows` at k raises, without building a row:
+    whether some grown entry ``r[j] + |a| * rowk[j]`` of a row ``r`` with
+    ``a = r[k]`` leaves ``[-limit, limit]``, ``rows`` being within it.
+
+    For ``a > 0`` a grown entry lies above ``r[j]`` and at most at
+    ``max(r) + a * max(rowk)``, so a row within that bound cannot raise; for
+    ``a < 0`` it lies below ``r[j]`` and at least at ``min(r) + |a| * min(rowk)``.
+    Only a row past its bound has its grown entries checked one by one.
+    """
+    rowk = rows[k]
+    hi, lo = max(rowk), min(rowk)
+    for row in rows:
+        a = row[k]
+        if a > 0:
+            if max(row) + a * hi > limit:
+                for x, c in zip(row, rowk):
+                    if c > 0 and x + a * c > limit:
+                        return True
+        elif a < 0 and min(row) - a * lo < -limit:
+            for x, c in zip(row, rowk):
+                if c < 0 and x - a * c < -limit:
+                    return True
+    return False
+
+
 class Quiver:
     """An immutable labeled quiver with an optional frozen frame.
 
@@ -157,7 +186,8 @@ class Quiver:
         """
         self._lay_out(tuple(sorted(mutable_labels)), tuple(sorted(map(tuple, frozen_pairs))))
         labels = self._labels if labels is None else tuple(labels)
-        self._validate(labels, self._matrix_arrows(_as_matrix(rows), labels))
+        matrix = _as_matrix(rows)
+        self._validate(labels, lambda: self._matrix_weights(matrix, labels))
 
     def _lay_out(self, mutable: tuple[int, ...], frozen_pairs: tuple[tuple[int, int], ...]) -> None:
         """Store the sorted ``mutable`` and ``frozen_pairs``, and the labels
@@ -167,43 +197,42 @@ class Quiver:
         self._labels = mutable + tuple(sorted(f for _, f in frozen_pairs))
         self._index = {v: i for i, v in enumerate(self._labels)}
 
-    def _matrix_arrows(self, rows: Sequence[Sequence[int]], labels: tuple[int, ...]) -> Iterator:
-        """The arrows ``(src, dst, mult)`` of ``rows`` indexed by ``labels``, in
-        row-major order of the ascending layout.  Run by :meth:`_validate` after
-        its label checks, it checks the shape, the diagonal and skew-symmetry."""
+    def _matrix_weights(
+        self, rows: Sequence[Sequence[int]], labels: tuple[int, ...]
+    ) -> dict[tuple[int, int], int]:
+        """The arrows of ``rows`` indexed by ``labels`` as (i, j) -> arrows
+        i -> j over indices of the ascending layout, found in row-major order
+        of that layout.  Run by :meth:`_validate` after its label checks, it
+        checks the shape, the diagonal and skew-symmetry; every entry is
+        already an integer, so nothing else an arrow may get wrong can occur."""
         n = len(labels)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("exchange matrix shape does not match labels")
         at = {v: i for i, v in enumerate(labels)}
-        idx, lay = [at[v] for v in self._labels], self._labels
+        idx = [at[v] for v in self._labels]
+        weights: dict[tuple[int, int], int] = {}
         for i, a in enumerate(idx):
-            if rows[a][a]:
+            row = rows[a]
+            if row[a]:
                 raise ValueError("nonzero diagonal entry")
             for j in range(i + 1, n):
-                x = rows[a][idx[j]]
-                if x != -rows[idx[j]][a]:
+                b = idx[j]
+                x = row[b]
+                if x != -rows[b][a]:
                     raise ValueError("matrix is not skew-symmetric")
-                if x:
-                    yield (lay[i], lay[j], x) if x > 0 else (lay[j], lay[i], -x)
+                if x > 0:
+                    weights[i, j] = x
+                elif x:
+                    weights[j, i] = -x
+        return weights
 
-    def _validate(self, labels: tuple[int, ...], arrows: Iterable[tuple[int, ...]]) -> None:
-        """Check the caller's ``labels`` against the layout, then the arrows
-        ``(src, dst, mult)``, which accumulate; store the mutable rows."""
-        n = len(labels)
-        if set(self._mutable) & set(self.frozen_labels):
-            raise ValueError("frozen labels must be disjoint from mutable labels")
-        if len(self._index) != n or len(self._labels) != n:
-            raise ValueError("duplicate vertex labels")
-        mut_of = tuple([m for m, _ in self._frozen_pairs])
-        # Only the type tells True or 2.0 from the int it equals.
-        if any(type(v) is not int or v < 1 for v in labels + self._labels + mut_of):
-            raise ValueError("labels must be positive integers")
-        if set(self._labels) != set(labels):
-            raise ValueError("labels do not match the mutable/frozen split")
-        if len(set(mut_of)) != len(mut_of) or any(m not in self._index for m in mut_of):
-            raise ValueError("invalid frozen pairing")
-        index, lay, m = self._index, self._labels, len(self._mutable)
-        weights: dict[tuple[int, int], int] = {}  # (i, j) -> arrows i -> j
+    def _arrow_weights(self, arrows: Iterable[tuple[int, ...]]) -> dict[tuple[int, int], int]:
+        """The arrows ``(src, dst, mult)``, which accumulate, as (i, j) ->
+        arrows i -> j over layout indices.  Run by :meth:`_validate` after its
+        label checks, it checks endpoints, loops, multiplicities (each
+        converted once) and pairs listed in both directions."""
+        index = self._index
+        weights: dict[tuple[int, int], int] = {}
         for src, dst, mult in arrows:
             for v in (src, dst):
                 if type(v) is not int or v not in index:
@@ -217,9 +246,33 @@ class Quiver:
             if (j, i) in weights:
                 raise ValueError(f"arrow pair ({src}, {dst}) listed in both directions")
             weights[i, j] = weights.get((i, j), 0) + mult
+        return weights
+
+    def _validate(
+        self, labels: tuple[int, ...], weigh: Callable[[], dict[tuple[int, int], int]]
+    ) -> None:
+        """Check the caller's ``labels`` against the layout, then get the
+        arrows from ``weigh()`` (:meth:`_arrow_weights` or
+        :meth:`_matrix_weights`) and check their range and that none joins two
+        frozen vertices; store the mutable rows."""
+        n = len(labels)
+        if set(self._mutable) & set(self.frozen_labels):
+            raise ValueError("frozen labels must be disjoint from mutable labels")
+        if len(self._index) != n or len(self._labels) != n:
+            raise ValueError("duplicate vertex labels")
+        mut_of = tuple([m for m, _ in self._frozen_pairs])
+        # Only the type tells True or 2.0 from the int it equals.
+        if any(type(v) is not int or v < 1 for v in labels + self._labels + mut_of):
+            raise ValueError("labels must be positive integers")
+        if set(self._labels) != set(labels):
+            raise ValueError("labels do not match the mutable/frozen split")
+        if len(set(mut_of)) != len(mut_of) or any(m not in self._index for m in mut_of):
+            raise ValueError("invalid frozen pairing")
+        weights = weigh()
         over = [(min(k), max(k)) for k, x in weights.items() if x > INT_LIMIT]
         if over:
-            raise _overflow(lay, *min(over))
+            raise _overflow(self._labels, *min(over))
+        m = len(self._mutable)
         if any(i >= m and j >= m for i, j in weights):
             raise ValueError("arrows between frozen vertices are not stored")
         rows = [[0] * n for _ in range(m)]
@@ -287,15 +340,15 @@ class Quiver:
         Arrows repeated in the same direction accumulate; listing a pair in
         both directions is rejected rather than silently cancelled.
         """
-        arrows = tuple(arrows)
-        if any(len(arrow) not in (2, 3) for arrow in arrows):
+        arrows = tuple([a if len(a) == 3 else (*a, 1) for a in arrows])
+        if any(len(arrow) != 3 for arrow in arrows):
             raise ValueError("arrows must be [src, dst] or [src, dst, mult]")
         vertices, pairs = tuple(vertices), tuple(sorted(map(tuple, frozen_pairs)))
         q = object.__new__(cls)
         q._lay_out(tuple(sorted(set(vertices) - {f for _, f in pairs})), pairs)
         # ``vertices`` may leave out frozen labels: the pairs name them.
         labels = vertices + tuple(set(q.frozen_labels) - set(vertices))
-        q._validate(labels, [a if len(a) == 3 else (*a, 1) for a in arrows])
+        q._validate(labels, lambda: q._arrow_weights(arrows))
         return q
 
     # -- basic accessors ----------------------------------------------

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .classify import _source_order
 from .errors import CyclicQuiverError
-from .framing import CMatrix, Color, _c_walk, _color, c_matrix
+from .framing import CMatrix, Color, _color, _framed_walk, c_matrix
 from .permutation import Permutation
 from .quiver import MutationSequence, Quiver, inverse_sequence, reduce_sequence
 
@@ -34,12 +34,12 @@ def is_maximal_green(q: Quiver, seq: Iterable[int]) -> Permutation | None:
     without taking it, or if the final state is not all red.  As in
     :func:`c_matrix`, an unknown label anywhere in ``seq`` raises first.
     """
-    seq = tuple(seq)
-    walk = _c_walk(q, seq)
+    seq, n = tuple(seq), q.rank
+    walk = _framed_walk(q, seq)
     for v, rows in zip(seq, walk):  # the state before step v
-        if _color(rows[q.mutable_labels.index(v)], v) is not Color.GREEN:
+        if _color(rows[q.mutable_labels.index(v)][n:], v) is not Color.GREEN:
             return None
-    return CMatrix(q.mutable_labels, tuple(next(walk))).reddening_permutation()
+    return CMatrix(q.mutable_labels, tuple([row[n:] for row in next(walk)])).reddening_permutation()
 
 
 def conjugate_reddening(

@@ -10,6 +10,24 @@ mutation kernel checks each entry it grows as it writes it and raises at the
 first one over the guardrail, and that raise is one cut.  A search is
 *complete* within its length bound exactly when no branch was aborted.
 
+The last level is decided without building it.  A leaf is never expanded, so
+it only has to tell whether its step is cut and whether it is all red.  Row
+k of the child at k is minus row k of its parent's C-matrix, so it is red
+only if that row was green (held a positive entry): no row of C is zero, as
+a step negates row k and adds multiples of it to other rows, which keeps C
+invertible.  When row k is green, every other row ``r`` gains ``r[k]`` times
+row k on C's columns where ``r[k] > 0`` and keeps them where ``r[k] < 0``,
+so a C row with a positive entry keeps it (a green step reddens no other
+row; Brüstle, Dupont and Pérotin, *On maximal green sequences*, 2014).  So a
+leaf can be all red only when k is its parent's one green row.  A frame
+whose children are leaves builds only that child, which goes the way every
+child goes, and asks of every other child only whether the kernel would
+raise (``quiver._overflows`` answers as the kernel does, without building a
+row); a yes is one cut, as it is for a built child.  Order, finds and cuts
+are those of the full walk under every flag: the other children are tried in
+the same order, after the same ``reduced_only`` and ``green_only`` tests,
+and none of them could be recorded, whether its state is on the path or not.
+
 Finished subtrees are reused.  A framed state is fixed by its C-matrix,
 since ``B_t = C_t B_0 C_t^T`` (the tropical duality of Nakanishi and
 Zelevinsky, *On tropical dualities in cluster algebras*, 2012), and what a
@@ -45,7 +63,7 @@ from .classify import DEFAULT_BUDGET, ClassEnumeration, explore
 from .errors import OutOfRangeError
 from .framing import CMatrix, Color, _color, framed
 from .permutation import Permutation
-from .quiver import MutationSequence, Quiver, _as_int, _automorphism, _mutated_rows
+from .quiver import MutationSequence, Quiver, _as_int, _automorphism, _mutated_rows, _overflows
 
 #: Abort a search branch once any arrow multiplicity passes this bound.
 WEIGHT_GUARDRAIL = 2**40
@@ -147,6 +165,13 @@ def search_reddening(
     path = {key0}
     while stack:
         rows, seq, mark, untried = stack[-1]
+        # Where the children are leaves, only the one at the lone green row,
+        # if there is one, is built; the others are only tested for a cut.
+        # Such a frame pushes nothing, so it runs its loop once.
+        leaf = len(seq) + 1 == max_len
+        if leaf:
+            greens = [i for i, row in enumerate(rows) if max(row[n:]) > 0]
+            lone = greens[0] if len(greens) == 1 else -1
         for i, v in untried:
             if alike and not seq:
                 roots.append((len(found), overflow))
@@ -168,6 +193,10 @@ def search_reddening(
             if reduced_only and seq and v == seq[-1]:
                 continue
             if green_only and _color(rows[i][n:], v) is not Color.GREEN:
+                continue
+            if leaf and i != lone:
+                if _overflows(rows, i, weight_limit):
+                    overflow += 1
                 continue
             try:
                 child = _mutated_rows(rows, i, weight_limit)

@@ -1,5 +1,6 @@
 """Framed extensions, C-matrices, and vertex colors."""
 
+import importlib
 import random
 
 import pytest
@@ -12,6 +13,8 @@ from redcycle import (
     c_matrix,
     coframed,
     framed,
+    grid_quiver,
+    grid_reddening,
     is_maximal_green,
     is_reddening,
     vertex_color,
@@ -20,6 +23,7 @@ from redcycle.errors import (
     AlreadyFramedError,
     InternalContradictionError,
     NotFramedError,
+    SignCoherenceError,
     UnknownVertexError,
 )
 from redcycle.framing import read_c_matrix
@@ -309,3 +313,47 @@ def test_framed_base_is_refused_before_its_labels_are_checked():
     for verdict in (c_matrix, is_reddening, is_maximal_green):
         with pytest.raises(AlreadyFramedError):
             verdict(framed(path3()), (1, 999))
+
+
+def test_c_matrix_checks_each_row_a_step_changes_once(monkeypatch):
+    # The start's rows are checked, then after each step only the rows it
+    # changed: row k and the rows with an arrow to or from k, which
+    # reference.framed_walk reads off the state before the step.
+    framing = importlib.import_module("redcycle.framing")
+    q, red = grid_quiver(3, 3), grid_reddening(3, 3)
+    n = q.rank
+    calls = []
+    color = framing._color
+    monkeypatch.setattr(framing, "_color", lambda row, v: calls.append(v) or color(row, v))
+    expected = c_matrix(q, red)
+    idx = [q.mutable_labels.index(v) for v in red]
+    states = [rows for rows, _ in framed_walk(q.rows(), idx)]
+    changed = sum(1 + sum(1 for i in range(n) if i != k and rows[i][k])
+                  for k, rows in zip(idx, states))
+    assert len(calls) == n + changed < n * (len(red) + 1)
+    assert expected.rows == tuple([tuple(row[n:]) for row in states[-1][:n]])
+
+
+def test_c_matrix_raises_at_the_first_mixed_row(monkeypatch):
+    # A kernel that breaks sign-coherence of row 2 at the third step: the
+    # walk raises there, naming that row, as a check of every row would.
+    quiver_module = importlib.import_module("redcycle.quiver")
+    kernel = quiver_module._mutated_rows
+    q = grid_quiver(2, 2)
+    seq = (1, 2, 3, 4)
+    n = q.rank
+    steps = []
+
+    def breaking(rows, k, limit):
+        new = kernel(rows, k, limit)
+        steps.append(k)
+        if len(steps) == 3:
+            bad = list(new[1])
+            bad[n], bad[n + 1] = 1, -1
+            new[1] = tuple(bad)
+        return new
+
+    monkeypatch.setattr(quiver_module, "_mutated_rows", breaking)
+    with pytest.raises(SignCoherenceError, match=r"^row of vertex 2 mixes signs: \(1, -1, "):
+        c_matrix(q, seq)
+    assert len(steps) == 3

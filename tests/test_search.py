@@ -15,6 +15,7 @@ from redcycle import (
     box_quiver,
     dreaded_torus,
     enumerate_class,
+    framed,
     grid_quiver,
     is_maximal_green,
     is_reddening,
@@ -24,12 +25,13 @@ from redcycle import (
 import redcycle.quiver as quiver_module
 import redcycle.search as search_module
 from redcycle.cli import main
-from redcycle.quiver import _automorphism
+from redcycle.quiver import _automorphism, _mutated_rows, _overflows
 
 from conftest import random_quiver
 from reference import (
     brute_automorphisms,
     brute_reddening_sequences,
+    framed_walk,
     reference_search_reddening,
 )
 
@@ -172,6 +174,160 @@ def test_search_matches_recursive_reference():
                     found += len(result)
                     cut += result.overflow_branches
     assert found > 0 and cut > 0
+
+
+def _raises(rows, k, limit) -> bool:
+    """Whether the mutation kernel raises at index k under ``limit``."""
+    try:
+        _mutated_rows(rows, k, limit)
+    except OverflowError:
+        return True
+    return False
+
+
+def test_overflow_test_answers_as_the_kernel():
+    # Seeded states of rank 1 to 6, framed and not, walked a few steps so
+    # that entries of both signs grow.  At each, one vertex k and limits at
+    # a grown entry's size and one either side of it, kept to those the
+    # state is within, as the kernel and the search assume.
+    rng = random.Random(389)
+    answers = {True: 0, False: 0}
+    past_bound = 0  # False answers where some row's bound was passed
+    for state_no in range(2400):
+        q = random_quiver(rng, min_n=1, max_n=6, max_weight=3)
+        if state_no % 2:
+            q = framed(q)
+        walk = [rng.choice(q.mutable_labels) for _ in range(rng.randint(0, 5))]
+        rows = q.mutate_seq(walk).mutable_rows()
+        k = rng.randrange(q.rank)
+        rowk = rows[k]
+        grown = [row[j] + abs(row[k]) * c for row in rows for j, c in enumerate(rowk)
+                 if row[k] * c > 0]
+        top = max(abs(x) for row in rows for x in row)
+        sizes = {abs(max(grown, key=abs)), abs(rng.choice(grown))} if grown else {top}
+        for limit in {size + d for size in sizes for d in (-1, 0, 1)}:
+            if limit < top:
+                continue
+            answer = _overflows(rows, k, limit)
+            assert answer == _raises(rows, k, limit), (rows, k, limit)
+            answers[answer] += 1
+            past_bound += not answer and any(
+                max(row) + row[k] * max(rowk) > limit if row[k] > 0
+                else min(row) + abs(row[k]) * min(rowk) < -limit
+                for row in rows if row[k])
+    assert answers[True] >= 1000 and answers[False] >= 1000, answers
+    assert past_bound >= 100, past_bound
+
+
+def _leaf_cuts(monkeypatch):
+    """Patch the search's overflow test to count the cuts it finds; returns
+    the running count as a one-element list."""
+    cuts = [0]
+
+    def counting(rows, k, limit):
+        answer = _overflows(rows, k, limit)
+        cuts[0] += answer
+        return answer
+
+    monkeypatch.setattr(search_module, "_overflows", counting)
+    return cuts
+
+
+def test_last_level_matches_recursive_reference(monkeypatch):
+    # Cases whose cuts and finds fall at the last level, under every flag
+    # combination and at two guardrails: rank2(3), whose weights pass 2**6
+    # near length 7; the torus, whose maximal green sequence of length 6
+    # is found at the last level; and a quiver whose first find with the
+    # guardrail at 16 is the sibling after a cut, both at the last level.
+    after_cut = Quiver.from_arrows([1, 2, 3], [(1, 2, 3), (1, 3, 3), (3, 2)])
+    cases = [
+        (rank2(3), (7, 8), 2**6),
+        (dreaded_torus(1), (6,), 2**6),
+        (after_cut, (6,), 16),
+    ]
+    cuts = _leaf_cuts(monkeypatch)
+    flags = ("reduced_only", "green_only", "first_only", "prune_revisited")
+    last_finds = 0
+    for q, lengths, low in cases:
+        for values in itertools.product((False, True), repeat=len(flags)):
+            for max_len in lengths:
+                for limit in ({}, {"weight_limit": low}):
+                    kwargs = dict(zip(flags, values), **limit)
+                    result = search_reddening(q, max_len, **kwargs)
+                    expected = reference_search_reddening(q, max_len, **kwargs)
+                    assert (result.sequences, result.overflow_branches) == expected, (
+                        q, max_len, kwargs)
+                    last_finds += sum(len(s) == max_len for s, _ in result)
+    assert last_finds > 0 and cuts[0] > 0
+    green = search_reddening(dreaded_torus(1), 6, green_only=True, reduced_only=True)
+    assert (1, 3, 4, 2, 1, 3) in seqs(green)
+    # The first find follows its cut sibling (1, 1, 1, 2, 3, 1).
+    first = search_reddening(after_cut, 6, first_only=True, weight_limit=16)
+    assert [s for s, _ in first] == [(1, 1, 1, 2, 3, 2)] and first.overflow_branches > 0
+    parent = framed(after_cut).mutate_seq((1, 1, 1, 2, 3)).mutable_rows()
+    assert _raises(parent, 0, 16) and not _raises(parent, 1, 16)
+
+
+def test_kernel_builds_only_the_lone_green_leaf(monkeypatch):
+    # Each kernel call's depth is read off its rows, the start's or a
+    # result of an earlier call; a call one step above the length bound
+    # builds a leaf, and must be at its frame's one green row.
+    q, max_len = box_quiver(2, 2), 10
+    n = q.rank
+    kernel, frame = search_module._mutated_rows, search_module.framed
+    # id(rows) -> (depth, rows); holding the rows keeps their ids from reuse.
+    depth: dict[int, tuple[int, object]] = {}
+    leaves = inner = 0
+
+    def framing(q):
+        start = frame(q)
+        depth[id(start.mutable_rows())] = (0, start.mutable_rows())
+        return start
+
+    def counting(rows, k, limit):
+        nonlocal leaves, inner
+        d = depth[id(rows)][0]
+        if d + 1 == max_len:
+            greens = [i for i, row in enumerate(rows) if any(x > 0 for x in row[n:])]
+            assert greens == [k], (rows, k)
+            leaves += 1
+        else:
+            inner += 1
+        child = kernel(rows, k, limit)
+        depth[id(child)] = (d + 1, child)
+        return child
+
+    cuts = _leaf_cuts(monkeypatch)
+    monkeypatch.setattr(search_module, "framed", framing)
+    monkeypatch.setattr(search_module, "_mutated_rows", counting)
+    result = search_reddening(q, max_len, reduced_only=True)
+    monkeypatch.undo()
+    assert result == search_reddening(q, max_len, reduced_only=True)
+    assert leaves > 0 and inner > 0 and cuts[0] > 0
+    assert leaves + inner < 12_000  # 24,418 when every leaf was built
+
+
+def test_a_step_to_all_red_starts_from_one_green_row():
+    # Along seeded walks, and along reddening sequences the search finds,
+    # every step of reference.framed_walk that leaves every C row red
+    # mutated the one row of its parent that held a positive entry.
+    rng = random.Random(401)
+    to_red = steps = 0
+    for _ in range(300):
+        q = random_quiver(rng, min_n=1, max_n=4, max_weight=2)
+        labels = q.mutable_labels
+        walks = [[rng.randrange(q.rank) for _ in range(rng.randint(1, 8))] for _ in range(3)]
+        walks += [[labels.index(v) for v in s]
+                  for s, _ in search_reddening(q, 4, reduced_only=True).sequences[:3]]
+        for walk in walks:
+            states = [c for _, c in framed_walk(q.rows(), walk)]
+            for k, before, after in zip(walk, states, states[1:]):
+                steps += 1
+                if all(x <= 0 for row in after for x in row):
+                    greens = [i for i, row in enumerate(before) if any(x > 0 for x in row)]
+                    assert greens == [k], (q, walk)
+                    to_red += 1
+    assert to_red >= 200 and steps > to_red
 
 
 def _counted_search(monkeypatch, q, max_len, cap=None, **kwargs):
