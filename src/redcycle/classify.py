@@ -115,18 +115,21 @@ def is_abundant(q: Quiver) -> bool:
 
 
 def _points_of_return(
-    rows: Sequence[Sequence[int]], vs: Sequence[int], acyclic: bool | None = None
+    rows: Sequence[Sequence[int]], vs: Sequence[int],
+    acyclic: bool | None = None, abundant: bool | None = None,
 ) -> Iterator[int]:
     """Points of return, as indices in ascending order, of the subquiver on
     ``vs``, found one at a time; none unless it is a fork, so a caller that
-    needs only the first stops there.  ``acyclic`` is that subquiver's
-    acyclicity when the caller knows it (see :func:`_acyclic`).
+    needs only the first stops there.  ``acyclic`` and ``abundant`` are that
+    subquiver's acyclicity and abundance when the caller knows them.
 
     Acyclic quivers are never forks: a source would satisfy the path
     condition vacuously, and abundant acyclic quivers must stay on the
     forkless side for the closure properties to hold.
     """
-    if not _abundant(rows, vs) or _acyclic(rows, vs, acyclic):
+    if abundant is None:
+        abundant = _abundant(rows, vs)
+    if not abundant or _acyclic(rows, vs, acyclic):
         return
     for r in vs:
         rest = [v for v in vs if v != r]
@@ -204,12 +207,12 @@ def classify(q: Quiver) -> ClassificationReport:
     if q.is_framed:
         raise AlreadyFramedError("classify expects an unframed quiver")
     mut, rows, vs = q.mutable_labels, q.mutable_rows(), range(q.rank)
-    acyclic = _acyclic(rows, vs)
+    acyclic, abundant = _acyclic(rows, vs), _abundant(rows, vs)
     keys, preforks = _key_pairs(rows, acyclic), _prefork_pairs(rows, acyclic)
     report = ClassificationReport(
         acyclic=acyclic,
-        abundant=_abundant(rows, vs),
-        fork_returns=frozenset([mut[r] for r in _points_of_return(rows, vs, acyclic)]),
+        abundant=abundant,
+        fork_returns=frozenset([mut[r] for r in _points_of_return(rows, vs, acyclic, abundant)]),
         key_pairs=tuple([((mut[k], mut[kp]), rows[k][kp]) for k, kp in keys]),
         prefork_pairs=tuple([((mut[k], mut[kp]), mut[r]) for (k, kp), r in preforks]),
     )
@@ -229,7 +232,7 @@ def canonical_form(q: Quiver) -> bytes:
     """
     if q.is_framed:
         raise AlreadyFramedError("canonical_form expects an unframed quiver")
-    rows = q.rows()
+    rows = q.mutable_rows()
     order = _canonical_order(rows, [list(range(q.rank))])
     flat = ",".join([str(rows[i][j]) for i in order for j in order])
     return f"{q.rank}|{flat}".encode("ascii")

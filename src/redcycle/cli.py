@@ -8,8 +8,9 @@ input, 141 (128 + SIGPIPE) when the reader closes the output pipe early.
 Every ``_cmd_*`` handler computes and returns a :data:`Report`, ``(status,
 doc, lines)``: its exit status, its ``--json`` document and its text lines.
 ``mutate`` and ``export-dot`` write a file instead: their ``doc`` is None
-and ``lines`` is the file's text.  :func:`main` alone writes, to stdout or
-``--out``, and maps errors to exit codes.
+and ``lines`` is the file's text; ``export-dot`` has no report, so it
+refuses ``--json``.  :func:`main` alone writes, to stdout or ``--out``, and
+maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -236,8 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--json", action="store_true", help="JSON report output")
-    quiver_in = argparse.ArgumentParser(add_help=False, parents=[report])
-    quiver_in.add_argument("--in", dest="infile", required=True)
+    quiver_file = argparse.ArgumentParser(add_help=False)
+    quiver_file.add_argument("--in", dest="infile", required=True)
+    quiver_in = argparse.ArgumentParser(add_help=False, parents=[report, quiver_file])
     sequence_in = argparse.ArgumentParser(add_help=False, parents=[quiver_in])
     sequence_in.add_argument("--seq", required=True)
     sequence_in.add_argument("--reduce", action="store_true", help="reduce the sequence first")
@@ -294,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["list", "show", "verify"])
     p.add_argument("name", nargs="?", default="all")
 
-    p = add("export-dot", _cmd_export_dot, quiver_in, "Graphviz DOT export")
+    p = add("export-dot", _cmd_export_dot, quiver_file, "Graphviz DOT export")
     p.add_argument("--out")
 
     return parser

@@ -581,7 +581,17 @@ def _canonical_order(rows: Sequence[Sequence[int]], cells: list[list[int]]) -> l
     The search is one loop over a stack with one frame per placed index:
     the cells it is chosen from and an iterator over the least candidates
     not yet tried there (None until the frame is opened).  So only the rank
-    bounds its depth.
+    bounds its depth.  While every frame opened has had one candidate, the
+    first forced order is the only one, and it is returned as found.
+
+    When one cell holds every index of a square matrix (``canonical_form``'s
+    call) and no two rows are equal, the roots are read from sorted rows: a
+    root's tail is its sorted row less one zero, its diagonal, and dropping
+    a zero from each of two sorted lists of one length keeps their order.
+    One root whose row has distinct entries leaves only single cells: the
+    order is that root, then the rest by its row, ascending, with no stack.
+    Twins keep the search: sorting an arrowless quiver's rows costs more
+    than trying one twin of many saves.
     """
     n = sum(map(len, cells))
     twin: list[int] | None = None  # the first index with an equal row, if two are equal
@@ -592,6 +602,17 @@ def _canonical_order(rows: Sequence[Sequence[int]], cells: list[list[int]]) -> l
     order: list[int] = []  # an ordering whose rows have the tails ``best``
     placed: list[int] = []  # the index each frame is trying
     stack: list[tuple[list[list[int]], Iterator[int] | None]] = [(cells, None)] if n else []
+    alone = True  # every frame opened so far had one candidate
+    if n and twin is None and len(cells) == 1 and len(rows) == n == len(rows[0]):
+        ranked = list(map(sorted, rows))
+        root = min(ranked)
+        v = ranked.index(root)
+        alone = ranked.count(root) == 1
+        if alone and len(set(rows[v])) == n:
+            return [v, *sorted([w for w in range(n) if w != v], key=rows[v].__getitem__)]
+        stack = [(cells, iter([w for w in range(n) if ranked[w] == root]))]
+        root.remove(0)  # the diagonal: what is left is the roots' tail
+        best = [root]
     while stack:
         d = len(stack) - 1
         cells, candidates = stack[-1]
@@ -614,6 +635,7 @@ def _canonical_order(rows: Sequence[Sequence[int]], cells: list[list[int]]) -> l
                 elif tail == least:
                     chosen.append(v)
             assert least is not None
+            alone = alone and len(chosen) == 1
             if d == len(best) or least < best[d]:
                 best[d:] = [least]
             candidates = iter(chosen if least == best[d] else ())  # none: cut above best
@@ -637,6 +659,8 @@ def _canonical_order(rows: Sequence[Sequence[int]], cells: list[list[int]]) -> l
             stack.append((split, None))
         else:  # every cell a single index: the rest of the order is forced
             forced = placed + [w for w, in split]
+            if alone:
+                return forced
             tails = [[rows[forced[i]][w] for w in forced[i + 1 :]] for i in range(d + 1, n)]
             if len(best) == d + 1 or tails < best[d + 1 :]:
                 best[d + 1 :] = tails

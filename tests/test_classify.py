@@ -761,3 +761,99 @@ def test_forkless_explore_rejects_budget_below_one():
             forkless_explore(q, node_budget=budget)
     report = forkless_explore(q, node_budget=1)
     assert len(report.forms) == 1 and not report.exhausted
+
+
+def test_classify_tests_the_whole_quiver_for_abundance_once(monkeypatch):
+    # classify hands the report's abundance to _points_of_return, as it
+    # hands its acyclicity, so the catalog fork is tested once.
+    module = importlib.import_module("redcycle.classify")
+    calls, real = [], module._abundant
+    monkeypatch.setattr(module, "_abundant", lambda *args: calls.append(args) or real(*args))
+    fork = catalog_item("quiver_types").quivers["fork"]
+    report = classify(fork)
+    assert report.is_fork and len(calls) == 1
+    assert report == reference.classify(fork)
+
+
+def test_dropping_one_zero_keeps_the_order_of_sorted_lists():
+    # The root rule of _canonical_order: a root's tail is its sorted row less
+    # its diagonal zero, so sorted rows order the roots as their tails do.
+    for length in range(1, 6):
+        lists = [
+            list(c) for c in itertools.combinations_with_replacement(range(-2, 3), length) if 0 in c
+        ]
+        for a in lists:
+            a0 = a[:]
+            a0.remove(0)
+            for b in lists:
+                b0 = b[:]
+                b0.remove(0)
+                assert (a < b, a == b, a > b) == (a0 < b0, a0 == b0, a0 > b0), (a, b)
+
+
+def _root_case(rows) -> str:
+    """Which path of _canonical_order a twin-free matrix takes at the root."""
+    ranked = sorted(sorted(row) for row in rows)
+    if len(rows) > 1 and ranked[0] == ranked[1]:
+        return "tied"
+    return "forced" if len(set(min(rows, key=sorted))) == len(rows) else "repeated"
+
+
+def _twin_free_matrices(rng: random.Random, per_case: int) -> dict[str, list]:
+    """Seeded twin-free exchange matrices of rank 1-7 with weights up to
+    10**15, ``per_case`` of each root case: a unique least sorted row with
+    distinct entries (the order is forced), a unique one with a repeated
+    entry, and least rows tied.  Entries come from one to three weights and
+    zero, so that rows tie and repeat, or from 21 weights, mostly distinct,
+    and no zero; no rank holds more than a fifth of a case."""
+    cases: dict[str, list] = {"forced": [], "repeated": [], "tied": []}
+    per_rank: dict[tuple[str, int], int] = {}
+    while min(map(len, cases.values())) < per_case:
+        n = rng.randint(1, 7)
+        scale = rng.choice((3, 10**6, 10**15))
+        weights = [rng.randint(1, scale) for _ in range(rng.choice((1, 2, 3, 21)))]
+        signs = (-1, 1) if len(weights) > 3 else (-1, 0, 1)
+        b = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                b[i][j] = rng.choice(weights) * rng.choice(signs)
+                b[j][i] = -b[i][j]
+        rows = tuple(map(tuple, b))
+        if len(set(rows)) < n:
+            continue
+        case = _root_case(rows)
+        if len(cases[case]) < per_case and per_rank.get((case, n), 0) < per_case // 5:
+            cases[case].append(rows)
+            per_rank[case, n] = per_rank.get((case, n), 0) + 1
+    return cases
+
+
+def test_root_rule_orders_match_the_recursive_reference():
+    cases = _twin_free_matrices(random.Random(2601), 700)
+    for rows in itertools.chain(*cases.values()):
+        cells = [list(range(len(rows)))]
+        assert _canonical_order(rows, cells) == reference.canonical_order(rows, cells), rows
+    for rows in itertools.chain(*cases.values()):
+        if len(rows) <= 6:
+            q = Quiver(range(1, len(rows) + 1), rows)
+            assert canonical_form(q) == brute_canonical_form(q), rows
+
+
+def test_root_rule_orders_match_the_reference_along_growing_walks():
+    # Rank-3/4 walks to entries near 10**6, as the budgeted classes reach.
+    rng = random.Random(2603)
+    states = reached = 0
+    for _ in range(80):
+        q = random_quiver(rng, max_n=4, max_weight=3, min_n=3)
+        last = None
+        for _ in range(40):
+            rows = q.mutable_rows()
+            cells = [list(range(q.rank))]
+            assert _canonical_order(rows, cells) == reference.canonical_order(rows, cells), rows
+            states += 1
+            if max(map(max, rows)) > 10**6:
+                reached += 1
+                break
+            last = rng.choice([v for v in q.mutable_labels if v != last])
+            q = q.mutate(last)
+    assert states >= 1000 and reached >= 70

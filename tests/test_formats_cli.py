@@ -542,6 +542,13 @@ def test_cli_export_dot(kprime_file, capsys):
     assert "digraph quiver" in capsys.readouterr().out
 
 
+def test_cli_export_dot_refuses_json(kprime_file, capsys):
+    # DOT is export-dot's only output: the flag is refused, not ignored.
+    assert main(["export-dot", "--in", kprime_file, "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --json" in err
+
+
 def test_cli_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
