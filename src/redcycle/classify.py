@@ -15,7 +15,19 @@ Each structural test is one generator of its witnesses (points of return,
 key pairs, pre-fork pairs), found one at a time: :func:`classify` collects
 all of them, and :func:`forkless_explore` asks a neighbour only for the
 first witness of the tests that decide whether to keep it, before the
-neighbour gets a canonical form.
+neighbour gets a canonical form.  Three exact rules spare the generators
+source orders and scans of every pair:
+
+- An abundant quiver joins every pair, so it is a tournament, acyclic
+  exactly when its out-degrees are pairwise distinct (Moon, *Topics on
+  Tournaments*, 1968); deleting r lowers by one the out-degree of each
+  vertex with an arrow into r.  So forks and points of return (Warkentin,
+  *Exchange graphs via quiver mutation*, 2014) are read off out-degrees.
+- A twin pair's two deletions are both abundant exactly when every other
+  pair is, so with two thin pairs (|b| < 2) there is no key or pre-fork
+  pair, and with one it is the only candidate.
+- A deletion that is a fork has a cycle, so the quiver has one too: the
+  pre-fork test needs no acyclicity test of its own.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import ne
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import AlreadyFramedError, ForkStartError, OutOfRangeError
 from .quiver import Quiver, _as_int, _canonical_order
@@ -98,15 +110,9 @@ def _abundant(rows: Sequence[Sequence[int]], vs: Sequence[int]) -> bool:
     return all(abs(rows[u][v]) >= 2 for i, u in enumerate(vs) for v in vs[i + 1 :])
 
 
-def _acyclic(rows: Sequence[Sequence[int]], vs: Sequence[int], known: bool | None = None) -> bool:
-    """``known`` when the caller has it, else whether the subquiver on the
-    indices ``vs`` has no oriented cycle."""
-    return _source_order(rows, vs) is not None if known is None else known
-
-
 def is_acyclic(q: Quiver) -> bool:
     """True when the mutable part has no oriented cycle."""
-    return _acyclic(q.mutable_rows(), range(q.rank))
+    return _source_order(q.mutable_rows(), range(q.rank)) is not None
 
 
 def is_abundant(q: Quiver) -> bool:
@@ -115,39 +121,42 @@ def is_abundant(q: Quiver) -> bool:
 
 
 def _points_of_return(
-    rows: Sequence[Sequence[int]], vs: Sequence[int],
-    acyclic: bool | None = None, abundant: bool | None = None,
+    rows: Sequence[Sequence[int]], vs: Sequence[int], abundant: bool | None = None
 ) -> Iterator[int]:
     """Points of return, as indices in ascending order, of the subquiver on
     ``vs``, found one at a time; none unless it is a fork, so a caller that
-    needs only the first stops there.  ``acyclic`` and ``abundant`` are that
-    subquiver's acyclicity and abundance when the caller knows them.
+    needs only the first stops there.  ``abundant`` is that subquiver's
+    abundance when the caller knows it.
 
     Acyclic quivers are never forks: a source would satisfy the path
     condition vacuously, and abundant acyclic quivers must stay on the
-    forkless side for the closure properties to hold.
+    forkless side for the closure properties to hold.  An abundant
+    subquiver is a tournament, so out-degrees decide its acyclicity and
+    that of each deletion (see the module docstring).
     """
-    if abundant is None:
-        abundant = _abundant(rows, vs)
-    if not abundant or _acyclic(rows, vs, acyclic):
+    if not (_abundant(rows, vs) if abundant is None else abundant):
+        return
+    out = {v: sum([rows[v][u] > 0 for u in vs]) for v in vs}
+    if len(set(out.values())) == len(out):
         return
     for r in vs:
-        rest = [v for v in vs if v != r]
-        row = rows[r]  # b(i, r) = -row[i]
-        ins = [i for i in rest if row[i] < 0]
-        outs = [j for j in rest if row[j] > 0]
-        if all(rows[j][i] > max(-row[i], row[j]) for i in ins for j in outs) and (
-            _acyclic(rows, rest)
-        ):
+        row = rows[r]  # b(i, r) = -row[i], and row[r] = 0 leaves r out of ins and outs
+        if len({out[v] - (row[v] < 0) for v in vs if v != r}) < len(out) - 1:
+            continue
+        ins = [i for i in vs if row[i] < 0]
+        outs = [j for j in vs if row[j] > 0]
+        if all(rows[j][i] > max(-row[i], row[j]) for i in ins for j in outs):
             yield r
 
 
-def _twin_pairs(rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
+def _twin_pairs(
+    rows: Sequence[Sequence[int]], pairs: Iterable[tuple[int, int]] | None = None
+) -> Iterator[tuple[int, int]]:
     """Pairs (k, k') whose arrows to every third vertex agree in direction:
     their sign rows are equal when no arrow joins them, and differ only at k
-    and k' when one does."""
+    and k' when one does.  ``pairs`` are the candidates, all by default."""
     sign = [[(x > 0) - (x < 0) for x in row] for row in rows]
-    for k, kp in combinations(range(len(rows)), 2):
+    for k, kp in combinations(range(len(rows)), 2) if pairs is None else pairs:
         s, t = sign[k], sign[kp]
         if sum(map(ne, s, t)) == 2 if rows[k][kp] else s == t:
             yield k, kp
@@ -156,13 +165,22 @@ def _twin_pairs(rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
 def _twin_deletions(
     rows: Sequence[Sequence[int]],
 ) -> Iterator[tuple[tuple[int, int], list[int], list[int]]]:
-    """Each twin pair (k, k') with the indices left by deleting k and those
-    left by deleting k'.  Below rank 3 there are none: there the twin
-    conditions hold vacuously (single-vertex deletions are trivially
-    abundant acyclic), which would make every 2-vertex quiver a key, so the
+    """Each twin pair (k, k') whose two single-vertex deletions are both
+    abundant, with the indices left by deleting k and those left by deleting
+    k'.  Both are abundant exactly when every pair but (k, k') is joined by
+    >= 2 arrows, so the thin pairs (|b| < 2) decide the candidates: all
+    pairs when there is none, the thin pair when there is one, none when
+    there are more.  Below rank 3 there are none: there the twin conditions
+    hold vacuously (single-vertex deletions are trivially abundant
+    acyclic), which would make every 2-vertex quiver a key, so the
     key/pre-fork notions start at rank 3."""
-    n = len(rows)
-    for k, kp in _twin_pairs(rows) if n >= 3 else ():
+    n, thin = len(rows), []
+    for k, kp in combinations(range(n), 2):
+        if -2 < rows[k][kp] < 2:
+            thin.append((k, kp))
+            if len(thin) == 2:
+                return
+    for k, kp in _twin_pairs(rows, thin or None) if n >= 3 else ():
         yield (k, kp), [v for v in range(n) if v != k], [v for v in range(n) if v != kp]
 
 
@@ -171,27 +189,29 @@ def _key_pairs(
 ) -> Iterator[tuple[int, int]]:
     """Twin pairs (k, k') of an acyclic quiver whose two single-vertex
     deletions are abundant (and acyclic with it); none when the quiver is
-    not acyclic (``acyclic``, when the caller knows it)."""
-    if not _acyclic(rows, range(len(rows)), acyclic):
-        return
-    for pair, del_k, del_kp in _twin_deletions(rows):
-        if _abundant(rows, del_k) and _abundant(rows, del_kp):
-            yield pair
+    not acyclic (``acyclic``, when the caller knows it; else found only
+    once there is a candidate pair)."""
+    for pair, _, _ in _twin_deletions(rows):
+        if acyclic is None:
+            acyclic = _source_order(rows, range(len(rows))) is not None
+        if not acyclic:
+            return
+        yield pair
 
 
 def _prefork_pairs(
     rows: Sequence[Sequence[int]], acyclic: bool | None = None
 ) -> Iterator[tuple[tuple[int, int], int]]:
-    """``((k, k'), r)`` for each twin pair of a non-acyclic quiver whose two
-    single-vertex deletions are forks with the common point of return r;
-    none when the quiver is acyclic (``acyclic``, when the caller knows it),
-    as its deletions are then acyclic too, and never forks."""
-    if _acyclic(rows, range(len(rows)), acyclic):
+    """``((k, k'), r)`` for each twin pair whose two single-vertex deletions
+    are forks with the common point of return r.  A deletion that is a fork
+    has a cycle, and so has the quiver, so its acyclicity need not be found;
+    a caller that knows it is acyclic (``acyclic``) gets none at once."""
+    if acyclic:
         return
     for pair, del_k, del_kp in _twin_deletions(rows):
-        common = frozenset(_points_of_return(rows, del_k))
+        common = frozenset(_points_of_return(rows, del_k, True))
         if common:
-            common &= frozenset(_points_of_return(rows, del_kp))
+            common &= frozenset(_points_of_return(rows, del_kp, True))
         for r in sorted(common):
             yield pair, r
 
@@ -199,20 +219,21 @@ def _prefork_pairs(
 def classify(q: Quiver) -> ClassificationReport:
     """Evaluate acyclicity, abundance, fork/key/pre-fork structure.
 
-    All candidate return points and vertex pairs are tried exhaustively;
-    target sizes (n <= 16) keep this immediate.  A vertex deletion is the
-    list of the other indices into ``q``'s rows.  :func:`forkless_explore`
-    asks the same generators only for their first answer.
+    All candidate return points are tried, and vertex pairs gated by thin
+    pairs; target sizes (n <= 16) keep this immediate.  A vertex deletion
+    is the list of the other indices into ``q``'s rows.
+    :func:`forkless_explore` asks the same generators only for their first
+    answer.
     """
     if q.is_framed:
         raise AlreadyFramedError("classify expects an unframed quiver")
     mut, rows, vs = q.mutable_labels, q.mutable_rows(), range(q.rank)
-    acyclic, abundant = _acyclic(rows, vs), _abundant(rows, vs)
+    acyclic, abundant = _source_order(rows, vs) is not None, _abundant(rows, vs)
     keys, preforks = _key_pairs(rows, acyclic), _prefork_pairs(rows, acyclic)
     report = ClassificationReport(
         acyclic=acyclic,
         abundant=abundant,
-        fork_returns=frozenset([mut[r] for r in _points_of_return(rows, vs, acyclic, abundant)]),
+        fork_returns=frozenset([mut[r] for r in _points_of_return(rows, vs, abundant)]),
         key_pairs=tuple([((mut[k], mut[kp]), rows[k][kp]) for k, kp in keys]),
         prefork_pairs=tuple([((mut[k], mut[kp]), mut[r]) for (k, kp), r in preforks]),
     )
@@ -317,12 +338,12 @@ def forkless_explore(
 
     The start is classified once, by :func:`classify`.  Each new neighbour
     is asked only what decides whether to keep it, by the generators that
-    :func:`classify` collects, each stopped at its first answer: an acyclic
-    neighbour is kept, one with a point of return is a fork, and only with
-    ``discard_preforks`` is a pre-fork pair looked for.  A form met again on
-    new rows is tested again (see :func:`explore`).  After the walk, each
-    kept form but the start is tested once for a key pair; ``key_forms``
-    follows the order of ``forms``, the start's first.
+    :func:`classify` collects, each stopped at its first answer: one with a
+    point of return is a fork, and only with ``discard_preforks`` is a
+    pre-fork pair looked for; neither finds the neighbour's acyclicity.  A
+    form met again on new rows is tested again (see :func:`explore`).
+    After the walk, each kept form but the start is tested once for a key
+    pair; ``key_forms`` follows the order of ``forms``, the start's first.
 
     Raises ForkStartError when the starting quiver is itself a fork.
     """
@@ -332,13 +353,10 @@ def forkless_explore(
         raise ForkStartError("starting quiver is a fork")
 
     def keep(rep: Quiver) -> bool:
-        rows, vs = rep.mutable_rows(), range(rep.rank)
-        # Under discard_preforks, a neighbour that is not a fork gets a
-        # pre-fork test, and either test needs its acyclicity: find it once.
-        acyclic = _acyclic(rows, vs) if discard_preforks else None
-        if _found(_points_of_return(rows, vs, acyclic)):
+        rows = rep.mutable_rows()
+        if _found(_points_of_return(rows, range(rep.rank))):
             return False
-        return not (discard_preforks and _found(_prefork_pairs(rows, acyclic)))
+        return not (discard_preforks and _found(_prefork_pairs(rows)))
 
     walk = explore(q, node_budget, keep)
     reps = iter(walk.forms.items())

@@ -857,3 +857,171 @@ def test_root_rule_orders_match_the_reference_along_growing_walks():
             last = rng.choice([v for v in q.mutable_labels if v != last])
             q = q.mutate(last)
     assert states >= 1000 and reached >= 70
+
+
+def _tournaments(rng: random.Random, count: int) -> list:
+    """Seeded tournaments of rank 1-8: each pair oriented along a shuffled
+    order of the vertices with 2 to 10**6 arrows, then flipped against it
+    with probability 0, 0.15 or 0.5, so that acyclic and cyclic ones both
+    occur.  Every third one has at most 10**3 arrows a pair and no flip,
+    and is then mutated at one vertex, which often makes a fork."""
+    found = []
+    for i in range(count):
+        n = rng.randint(1, 8)
+        order = rng.sample(range(n), n)
+        mutated = i % 3 == 2
+        flip = 0 if mutated else rng.choice((0, 0.15, 0.5))
+        top = 10**3 if mutated else 10 ** rng.randint(1, 6)
+        b = [[0] * n for _ in range(n)]
+        for x, u in enumerate(order):
+            for v in order[x + 1 :]:
+                w = rng.randint(2, top) * (-1 if rng.random() < flip else 1)
+                b[u][v], b[v][u] = w, -w
+        if mutated:
+            b = Quiver(range(1, n + 1), b).mutate(rng.randint(1, n)).mutable_rows()
+        found.append(b)
+    return found
+
+
+def test_out_degrees_decide_the_acyclicity_of_tournaments():
+    # A tournament is acyclic exactly when its out-degrees are pairwise
+    # distinct, and deleting r lowers the out-degree of each vertex with an
+    # arrow into r: _points_of_return reads forks off this rule.
+    module = importlib.import_module("redcycle.classify")
+    seen = {"acyclic": 0, "cyclic": 0, "fork": 0}
+    for b in _tournaments(random.Random(2701), 2100):
+        n = len(b)
+        out = [sum(x > 0 for x in row) for row in b]
+        for r in [None, *range(n)]:
+            vs = [v for v in range(n) if v != r]
+            degrees = [out[v] - (r is not None and b[v][r] > 0) for v in vs]
+            acyclic = module._source_order(b, vs) is not None
+            assert (len(set(degrees)) == len(vs)) is acyclic, (b, r)
+            seen["acyclic" if acyclic else "cyclic"] += 1
+        q, labels = Quiver(range(1, n + 1), b), list(range(1, n + 1))
+        assert reference._abundant(q, labels)
+        want = []
+        if reference._source_order(q, labels) is None:
+            want = sorted(r - 1 for r in reference._fork_returns(q, labels))
+        assert list(module._points_of_return(b, range(n))) == want, b
+        seen["fork"] += bool(want)
+    assert all(count >= 300 for count in seen.values()), seen
+
+
+def _thin_pair_quivers(rng: random.Random) -> list[Quiver]:
+    """Seeded quivers of rank 3-7 with a twin pair: an abundant quiver (2 to
+    5 arrows a pair) and a vertex that copies the directions of one of its
+    vertices, joined to it by -3 to 3 arrows; then none, one or two pairs
+    are made thin (|b| < 2)."""
+    mix = []
+    for i in range(600):
+        n = rng.randint(2, 6)
+        b = [[0] * n for _ in range(n)]
+        for u, v in itertools.combinations(range(n), 2):
+            b[u][v] = rng.choice((-1, 1)) * rng.randint(2, 5)
+            b[v][u] = -b[u][v]
+        q = _with_twin(Quiver(range(1, n + 1), b), rng.randint(1, n), rng.randint(-3, 3))
+        rows = [list(row) for row in q.mutable_rows()]
+        for u, v in rng.sample(list(itertools.combinations(range(n + 1), 2)), i % 3):
+            rows[u][v] = rng.randint(-1, 1)
+            rows[v][u] = -rows[u][v]
+        mix.append(Quiver(range(1, n + 2), rows))
+    return mix
+
+
+def test_twin_deletions_are_the_twin_pairs_with_two_abundant_deletions():
+    # Both deletions of a twin pair are abundant exactly when every other
+    # pair is, so the thin pairs gate the candidates: every pair with none,
+    # that pair with one, no pair with two or more.
+    module = importlib.import_module("redcycle.classify")
+    quivers = {"thin pairs": 0, "yielded": 0, "twins": 0}
+    seen = {thin: dict.fromkeys(quivers, 0) for thin in ("0", "1", "2+")}
+    for q in _weight_three_mix(random.Random(2703)) + _thin_pair_quivers(random.Random(2705)):
+        rows, mut, n = q.mutable_rows(), q.mutable_labels, q.rank
+        twins = reference._twin_pairs(q) if n >= 3 else []
+        want = [
+            (mut.index(k), mut.index(kp)) for k, kp in twins
+            if all(reference._abundant(q, [v for v in mut if v != d]) for d in (k, kp))
+        ]
+        got = list(module._twin_deletions(rows))
+        assert [pair for pair, _, _ in got] == want, q
+        for (k, kp), del_k, del_kp in got:
+            assert del_k == [v for v in range(n) if v != k], q
+            assert del_kp == [v for v in range(n) if v != kp], q
+        thin = sum(-2 < rows[u][v] < 2 for u, v in itertools.combinations(range(n), 2))
+        counts = seen[str(thin) if thin < 2 else "2+"]
+        counts["thin pairs"] += 1
+        counts["yielded"] += len(got)
+        counts["twins"] += len(twins)
+    assert not seen["2+"].pop("yielded"), seen
+    assert all(count >= 100 for counts in seen.values() for count in counts.values()), seen
+
+
+def _pool_like_starts(rng: random.Random, count: int) -> list:
+    """Rank-3/4 starts drawn as the benchmark's forkless pool draws them:
+    half abundant acyclic (2 or 3 arrows a pair along a shuffled order),
+    half random with |b| <= 3 and at most one arrow between vertices 1 and
+    2; each with a budget of 20, 40 or 60."""
+    starts = []
+    for i in range(count):
+        rank = rng.randint(3, 4)
+        labels = list(range(1, rank + 1))
+        if i % 2:
+            order = rng.sample(labels, rank)
+            arrows = [(u, v, rng.randint(2, 3)) for x, u in enumerate(order) for v in order[x + 1 :]]
+        else:
+            arrows = []
+            for u, v in itertools.combinations(labels, 2):
+                w = rng.randint(-1, 1) if (u, v) == (1, 2) else rng.randint(-3, 3)
+                arrows += [(u, v, w)] if w > 0 else [(v, u, -w)] if w else []
+        starts.append((Quiver.from_arrows(labels, arrows), rng.choice((20, 40, 60))))
+    return starts
+
+
+def test_forkless_walks_match_the_reference_on_pool_like_starts():
+    key = catalog_item("infinite_reduced_key").quivers["Q"]
+    cases = _pool_like_starts(random.Random(2707), 48)
+    cases += [(q, budget) for q in (box_quiver(2, 2), key) for budget in (1, 20, 40, 60)]
+    seen = {"cut": 0, "exhausted": 0, "keys": 0}
+    for (q, budget), discard in itertools.product(cases, (False, True)):
+        got = _outcome(_forkless, q, budget, discard)
+        assert got == _outcome(_reference_forkless, q, budget, discard), (q, budget, discard)
+        if got[0] is not IntegerOverflowError:
+            seen["exhausted" if got[2] else "cut"] += 1
+            seen["keys"] += bool(got[1])
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_forkless_walks_decide_neighbours_with_no_source_order(monkeypatch):
+    # Out-degrees and thin pairs decide each neighbour; classify still runs
+    # once, on the start, and as many forms get a canonical form as when
+    # source orders decided them.
+    module = importlib.import_module("redcycle.classify")
+    names = ("_source_order", "classify", "canonical_form")
+    real = {name: getattr(module, name) for name in names + ("explore",)}
+    calls = dict.fromkeys(names + ("deciding",), 0)
+
+    def counting(name):
+        def call(*args):
+            calls[name] += 1
+            return real[name](*args)
+        return call
+
+    def deciding_explore(q, budget, keep):
+        def decided(rep):
+            before = calls["_source_order"]
+            kept = keep(rep)
+            calls["deciding"] += calls["_source_order"] - before
+            return kept
+        return real["explore"](q, budget, decided)
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name))
+    monkeypatch.setattr(module, "explore", deciding_explore)
+    key = catalog_item("infinite_reduced_key").quivers["Q"]
+    canonical = {("box", False): 43, ("box", True): 5, ("key", False): 41, ("key", True): 7}
+    for (name, discard), forms in canonical.items():
+        calls.update(dict.fromkeys(calls, 0))
+        forkless_explore(box_quiver(2, 2) if name == "box" else key, 40, discard)
+        assert calls["_source_order"] >= 1 and calls["deciding"] == 0, (name, discard, calls)
+        assert calls["classify"] == 1 and calls["canonical_form"] == forms, (name, discard, calls)

@@ -330,6 +330,32 @@ def test_a_step_to_all_red_starts_from_one_green_row():
     assert to_red >= 200 and steps > to_red
 
 
+def test_a_green_step_reddens_no_other_row():
+    # Along seeded walks of reference.framed_walk, a step at a green C row k
+    # adds to every other row a non-negative multiple of row k, so no other
+    # green row turns red: a state with g green rows needs g more green steps.
+    rng = random.Random(403)
+    green_steps = green_rows = 0
+    for _ in range(300):
+        q = random_quiver(rng, min_n=2, max_n=5, max_weight=3)
+        walk = [rng.randrange(q.rank) for _ in range(rng.randint(1, 10))]
+        states = [c for _, c in framed_walk(q.rows(), walk)]
+        for k, before, after in zip(walk, states, states[1:]):
+            if not any(x > 0 for x in before[k]):
+                continue
+            green_steps += 1
+            j = next(j for j, x in enumerate(before[k]) if x)
+            for i, (old, new) in enumerate(zip(before, after)):
+                if i == k:
+                    continue
+                m = (new[j] - old[j]) // before[k][j]
+                assert m >= 0 and new == [x + m * y for x, y in zip(old, before[k])], (q, walk)
+                if any(x > 0 for x in old):
+                    assert all(x >= 0 for x in new) and any(new), (q, walk)
+                    green_rows += 1
+    assert green_steps >= 300 and green_rows >= 300, (green_steps, green_rows)
+
+
 def _counted_search(monkeypatch, q, max_len, cap=None, **kwargs):
     """``search_reddening`` with its kernel calls counted, and its memo
     capped at ``cap`` entries when given (0 memoizes nothing)."""
