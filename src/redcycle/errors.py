@@ -23,10 +23,6 @@ class AlreadyFramedError(RedcycleError):
     """framed()/coframed() applied to a quiver that already carries a frame."""
 
 
-class NotFramedError(RedcycleError):
-    """An operation that needs frozen vertices got an unframed quiver."""
-
-
 class IntegerOverflowError(RedcycleError):
     """An arrow multiplicity left the signed 64-bit range.
 

@@ -10,8 +10,7 @@ A framed state is the n mutable rows over the n + m columns of its
 labels, mutable then frozen (:meth:`Quiver.mutable_rows`); the frozen rows
 are implied, each minus a column of those rows.  From ``framed(q)`` on, the
 i-th mutable label's partner is column n + i, so the C-matrix is the right
-half of the rows, which the framed walks and the search slice alike;
-:func:`read_c_matrix` reads any framed state, crossed pairings too.
+half of the rows, which the framed walks and the search slice alike.
 Every color and reddening verdict in the package comes from here.
 """
 
@@ -24,7 +23,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     AlreadyFramedError,
     InternalContradictionError,
-    NotFramedError,
     SignCoherenceError,
     UnknownVertexError,
     ZeroRowError,
@@ -93,11 +91,6 @@ class CMatrix:
     labels: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
 
-    @property
-    def is_identity(self) -> bool:
-        n = len(self.labels)
-        return all(self.rows[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
-
     def row_color(self, i: int) -> Color:
         """Green for a non-negative row, red for a non-positive one."""
         try:
@@ -106,50 +99,25 @@ class CMatrix:
             raise UnknownVertexError(f"unknown vertex {i}") from None
         return _color(self.rows[k], i)
 
-    def all_red(self) -> bool:
-        return all(x <= 0 for row in self.rows for x in row)
+    def reddening_permutation(self) -> Permutation | None:
+        """The associated permutation if every row is red, else None.
 
-    def as_neg_permutation(self) -> Permutation | None:
-        """If the matrix equals minus a permutation matrix, the permutation.
-
-        The convention matches the associated permutation of a reddening
-        sequence: ``sigma(i) = j`` where column ``i`` has its ``-1`` in
-        row ``j``.
+        An all-red C-matrix is forced to be minus a permutation matrix,
+        ``sigma(i) = j`` where column ``i`` has its ``-1`` in row ``j``, so
+        any other all-red shape signals a bug rather than a valid state.
         """
+        if any(x > 0 for row in self.rows for x in row):
+            return None
         n = len(self.labels)
         mapping: dict[int, int] = {}
         for col in range(n):
             hits = [r for r in range(n) if self.rows[r][col] != 0]
             if len(hits) != 1 or self.rows[hits[0]][col] != -1:
-                return None
+                raise InternalContradictionError(
+                    f"all-red C-matrix is not minus a permutation matrix: {self.rows}"
+                )
             mapping[self.labels[col]] = self.labels[hits[0]]
         return Permutation(mapping)
-
-    def reddening_permutation(self) -> Permutation | None:
-        """The associated permutation if every row is red, else None.
-
-        An all-red C-matrix is forced to be minus a permutation matrix, so
-        any other all-red shape signals a bug rather than a valid state.
-        """
-        if not self.all_red():
-            return None
-        sigma = self.as_neg_permutation()
-        if sigma is None:
-            raise InternalContradictionError(
-                f"all-red C-matrix is not minus a permutation matrix: {self.rows}"
-            )
-        return sigma
-
-
-def read_c_matrix(framed_state: Quiver) -> CMatrix:
-    """Read the mutable-by-frozen block out of any framed (and mutated)
-    quiver, its pairings crossed or not."""
-    partner = dict(framed_state.frozen_pairs)
-    mutable = framed_state.mutable_labels
-    if any(v not in partner for v in mutable):
-        raise NotFramedError("some mutable vertex has no frozen partner")
-    b = framed_state.b
-    return CMatrix(mutable, tuple([tuple([b(v, partner[w]) for w in mutable]) for v in mutable]))
 
 
 def _framed_walk(q: Quiver, seq: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -186,7 +154,3 @@ def c_matrix(q: Quiver, seq: Iterable[int]) -> CMatrix:
         last = rows
     return CMatrix(labels, tuple([row[n:] for row in last]))
 
-
-def vertex_color(framed_state: Quiver, v: int) -> Color:
-    """Green if all arrows from ``v`` point into the frame, red if all out of it."""
-    return read_c_matrix(framed_state).row_color(v)

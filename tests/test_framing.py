@@ -17,16 +17,13 @@ from redcycle import (
     grid_reddening,
     is_maximal_green,
     is_reddening,
-    vertex_color,
 )
 from redcycle.errors import (
     AlreadyFramedError,
     InternalContradictionError,
-    NotFramedError,
     SignCoherenceError,
     UnknownVertexError,
 )
-from redcycle.framing import read_c_matrix
 
 from conftest import random_quiver, random_sequence
 from reference import determinant, framed_walk
@@ -65,7 +62,7 @@ def test_frame_requires_unframed():
 
 def test_initial_c_matrix_is_identity():
     c = c_matrix(path3(), ())
-    assert c.is_identity and c.row_color(1) is Color.GREEN
+    assert c.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1)) and c.row_color(1) is Color.GREEN
     with pytest.raises(UnknownVertexError, match="unknown vertex 9"):
         c.row_color(9)
 
@@ -82,7 +79,7 @@ def test_coframed_is_opposite_frame():
     for m, f in fq.frozen_pairs:
         assert fq.b(m, f) == 1
         assert cq.b(m, f) == -1
-    assert read_c_matrix(coframed(q)).rows == ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
+    assert tuple(row[3:] for row in cq.mutable_rows()) == ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
 
 
 def test_source_sequence_figure_c_matrices():
@@ -104,7 +101,7 @@ def test_rightmost_source_seq_state_equals_coframed():
 
 def test_c_matrix_involution():
     q = path3()
-    assert c_matrix(q, (2, 2)).is_identity
+    assert c_matrix(q, (2, 2)).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_c_matrix_of_key_reddening_is_minus_identity():
@@ -120,37 +117,13 @@ def test_c_matrix_requires_unframed_base():
 
 def test_vertex_color_examples():
     q = path3()
-    fq = framed(q)
-    assert all(vertex_color(fq, v) is Color.GREEN for v in q.mutable_labels)
-    after = fq.mutate(1)
-    assert vertex_color(after, 1) is Color.RED
-    assert vertex_color(after, 2) is Color.GREEN
-    assert vertex_color(after, 3) is Color.GREEN
-    allred = fq.mutate_seq((1, 2, 3))
-    assert all(vertex_color(allred, v) is Color.RED for v in q.mutable_labels)
-
-
-def test_reader_follows_a_pairing_that_is_not_order_preserving():
-    # Vertex 1 is paired with 12 and vertex 2 with 11, so column j of the
-    # C-matrix is not the j-th frozen label.
-    q = Quiver.from_arrows(
-        [1, 2, 11, 12], [(1, 2), (1, 12), (1, 11, 2), (11, 2), (12, 2, 3)],
-        frozen_pairs=[(1, 12), (2, 11)],
-    )
-    partner = dict(q.frozen_pairs)
-    c = read_c_matrix(q)
-    assert c.rows == tuple(tuple(q.b(i, partner[j]) for j in (1, 2)) for i in (1, 2))
-    assert c.rows == ((1, 2), (-3, -1))
-    assert vertex_color(q, 1) is Color.GREEN
-    assert vertex_color(q, 2) is Color.RED
-
-
-def test_vertex_color_needs_frame():
-    with pytest.raises(NotFramedError):
-        vertex_color(path3(), 1)
-    # Vertex 2 keeps no frozen partner once 102 is dropped.
-    with pytest.raises(NotFramedError):
-        vertex_color(framed(path3()).restrict([1, 2, 3, 101, 103]), 1)
+    assert all(c_matrix(q, ()).row_color(v) is Color.GREEN for v in q.mutable_labels)
+    after = c_matrix(q, (1,))
+    assert after.row_color(1) is Color.RED
+    assert after.row_color(2) is Color.GREEN
+    assert after.row_color(3) is Color.GREEN
+    allred = c_matrix(q, (1, 2, 3))
+    assert all(allred.row_color(v) is Color.RED for v in q.mutable_labels)
 
 
 def test_sign_coherence_along_random_trajectories():
@@ -248,13 +221,6 @@ def test_determinant_matches_fraction_elimination():
         assert determinant(rows) == frac_det(rows)
 
 
-def test_as_neg_permutation_rejects_non_permutation_shapes():
-    c = CMatrix((1, 2), ((-1, 0), (0, -2)))
-    assert c.as_neg_permutation() is None
-    c2 = CMatrix((1, 2), ((-1, 0), (-1, -1)))
-    assert c2.as_neg_permutation() is None
-
-
 def test_row_color_rejects_zero_and_mixed_rows():
     from redcycle.errors import SignCoherenceError, ZeroRowError
 
@@ -269,6 +235,14 @@ def test_reddening_permutation_is_the_one_verdict():
     assert CMatrix((1, 2), ((0, -1), (-1, 0))).reddening_permutation() == Permutation.from_cycles((1, 2))
     with pytest.raises(InternalContradictionError):
         CMatrix((1, 2), ((-1, 0), (-1, -1))).reddening_permutation()
+
+
+def test_reddening_permutation_rejects_non_permutation_shapes():
+    # All red, but an entry is -2, or a column holds two -1s: neither is
+    # minus a permutation matrix, so the verdict is a contradiction.
+    for rows in (((-1, 0), (0, -2)), ((-1, 0), (-1, -1)), ((-1, -1), (0, -1))):
+        with pytest.raises(InternalContradictionError, match="not minus a permutation"):
+            CMatrix((1, 2), rows).reddening_permutation()
 
 
 def test_frame_labels_are_unknown_vertices_of_the_walk():
@@ -294,19 +268,37 @@ def _random_labeled_quiver(rng, n):
     return Quiver.from_arrows(labels, arrows)
 
 
+def test_frame_pairs_the_i_th_label_with_the_i_th_frozen_label():
+    # c_matrix slices C as row[n:], which is right only if the frame pairs
+    # the i-th mutable label with the i-th frozen label and walks keep it.
+    rng = random.Random(1415)
+    for _ in range(100):
+        q = _random_labeled_quiver(rng, rng.randint(0, 8))
+        seq = tuple(rng.choice(q.mutable_labels) for _ in range(rng.randint(0, 6) if q.rank else 0))
+        for start in (framed(q), coframed(q)):
+            for state in (start, start.mutate_seq(seq)):
+                assert state.mutable_labels == q.mutable_labels
+                assert state.frozen_pairs == tuple(zip(q.mutable_labels, state.frozen_labels))
+                assert state.labels == q.mutable_labels + state.frozen_labels
+
+
 def test_frame_block_is_the_right_half_of_the_mutable_rows():
     # The per-step C reader takes C as row[n:] of each framed state's
-    # mutable rows; the general reader, which looks up each partner, must
-    # agree on every state of a framed or coframed walk.
+    # mutable rows; reading each entry by looking up the vertex's frozen
+    # partner must agree on every state of a framed or coframed walk.
     rng = random.Random(1414)
     for _ in range(150):
         q = _random_labeled_quiver(rng, rng.randint(0, 8))
         seq = tuple(rng.choice(q.mutable_labels) for _ in range(rng.randint(0, 8) if q.rank else 0))
-        n = q.rank
+        n, labels = q.rank, q.mutable_labels
         for start in (framed(q), coframed(q)):
+            partner = dict(start.frozen_pairs)
             for state in start.walk(seq):
-                assert read_c_matrix(state).rows == tuple(row[n:] for row in state.mutable_rows())
-        assert c_matrix(q, seq) == read_c_matrix(framed(q).mutate_seq(seq))
+                by_partner = tuple(tuple(state.b(i, partner[j]) for j in labels) for i in labels)
+                assert by_partner == tuple(row[n:] for row in state.mutable_rows())
+        end = framed(q).mutate_seq(seq)
+        partner = dict(end.frozen_pairs)
+        assert c_matrix(q, seq).rows == tuple(tuple(end.b(i, partner[j]) for j in labels) for i in labels)
 
 
 def test_framed_base_is_refused_before_its_labels_are_checked():

@@ -5,8 +5,10 @@ import random
 import pytest
 
 from redcycle import (
+    Color,
     Permutation,
     Quiver,
+    c_matrix,
     classify,
     conjugate_reddening,
     coframed,
@@ -81,20 +83,15 @@ def test_rss_is_maximal_green():
 def _random_green_walk(rng, q, max_steps=12):
     """Greedily mutate random green vertices; an all-red endpoint makes the
     walked sequence a maximal green sequence by construction."""
-    from redcycle import Color, vertex_color
-
-    state = framed(q)
     seq = []
     for _ in range(max_steps):
-        colors = {v: vertex_color(state, v) for v in q.mutable_labels}
-        if all(c is Color.RED for c in colors.values()):
+        c = c_matrix(q, seq)
+        green = [v for v in q.mutable_labels if c.row_color(v) is Color.GREEN]
+        if not green:
             return tuple(seq)
-        green = [v for v, c in colors.items() if c is Color.GREEN]
-        v = rng.choice(green)
-        seq.append(v)
-        state = state.mutate(v)
-    colors = {v: vertex_color(state, v) for v in q.mutable_labels}
-    return tuple(seq) if all(c is Color.RED for c in colors.values()) else None
+        seq.append(rng.choice(green))
+    c = c_matrix(q, seq)
+    return tuple(seq) if all(c.row_color(v) is Color.RED for v in q.mutable_labels) else None
 
 
 def test_every_maximal_green_sequence_is_reddening():
