@@ -16,18 +16,20 @@ key pairs, pre-fork pairs), found one at a time: :func:`classify` collects
 all of them, and :func:`forkless_explore` asks a neighbour only for the
 first witness of the tests that decide whether to keep it, before the
 neighbour gets a canonical form.  Three exact rules spare the generators
-source orders and scans of every pair:
+source orders and all but one scan of the pairs:
 
+- One scan finds the first two thin pairs (|b| < 2), in row-major order.
+  None is abundance.  A twin pair's two deletions are both abundant
+  exactly when every other pair is, so the key and pre-fork candidates
+  are every pair with no thin pair, the thin pair with one, none with two.
 - An abundant quiver joins every pair, so it is a tournament, acyclic
   exactly when its out-degrees are pairwise distinct (Moon, *Topics on
   Tournaments*, 1968); deleting r lowers by one the out-degree of each
   vertex with an arrow into r.  So forks and points of return (Warkentin,
   *Exchange graphs via quiver mutation*, 2014) are read off out-degrees.
-- A twin pair's two deletions are both abundant exactly when every other
-  pair is, so with two thin pairs (|b| < 2) there is no key or pre-fork
-  pair, and with one it is the only candidate.
 - A deletion that is a fork has a cycle, so the quiver has one too: the
-  pre-fork test needs no acyclicity test of its own.
+  pre-fork test needs no acyclicity test of its own, and on an acyclic
+  quiver, whose deletions have distinct out-degrees, it yields nothing.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import ne
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import AlreadyFramedError, ForkStartError, OutOfRangeError
 from .quiver import Quiver, _as_int, _canonical_order
@@ -105,9 +107,16 @@ def _source_order(rows: Sequence[Sequence[int]], vs: Sequence[int]) -> list[int]
     return order if len(order) == len(vs) else None
 
 
-def _abundant(rows: Sequence[Sequence[int]], vs: Sequence[int]) -> bool:
-    """True when every pair of the indices ``vs`` is joined by >= 2 arrows."""
-    return all(abs(rows[u][v]) >= 2 for i, u in enumerate(vs) for v in vs[i + 1 :])
+def _thin_pairs(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The first two index pairs, in row-major order, with |b| < 2: none
+    exactly when the quiver is abundant (see the module docstring)."""
+    thin = []
+    for k, kp in combinations(range(len(rows)), 2):
+        if -2 < rows[k][kp] < 2:
+            thin.append((k, kp))
+            if len(thin) == 2:
+                break
+    return thin
 
 
 def is_acyclic(q: Quiver) -> bool:
@@ -117,25 +126,19 @@ def is_acyclic(q: Quiver) -> bool:
 
 def is_abundant(q: Quiver) -> bool:
     """True when every pair of mutable vertices is joined by >= 2 arrows."""
-    return _abundant(q.mutable_rows(), range(q.rank))
+    return not _thin_pairs(q.mutable_rows())
 
 
-def _points_of_return(
-    rows: Sequence[Sequence[int]], vs: Sequence[int], abundant: bool | None = None
-) -> Iterator[int]:
-    """Points of return, as indices in ascending order, of the subquiver on
-    ``vs``, found one at a time; none unless it is a fork, so a caller that
-    needs only the first stops there.  ``abundant`` is that subquiver's
-    abundance when the caller knows it.
+def _points_of_return(rows: Sequence[Sequence[int]], vs: Sequence[int]) -> Iterator[int]:
+    """Points of return, as indices in ascending order, of the abundant
+    subquiver on ``vs``, found one at a time; none unless it is a fork, so
+    a caller that needs only the first stops there.  Out-degrees decide its
+    acyclicity and that of each deletion (see the module docstring).
 
     Acyclic quivers are never forks: a source would satisfy the path
     condition vacuously, and abundant acyclic quivers must stay on the
-    forkless side for the closure properties to hold.  An abundant
-    subquiver is a tournament, so out-degrees decide its acyclicity and
-    that of each deletion (see the module docstring).
+    forkless side for the closure properties to hold.
     """
-    if not (_abundant(rows, vs) if abundant is None else abundant):
-        return
     out = {v: sum([rows[v][u] > 0 for u in vs]) for v in vs}
     if len(set(out.values())) == len(out):
         return
@@ -149,49 +152,37 @@ def _points_of_return(
             yield r
 
 
-def _twin_pairs(
-    rows: Sequence[Sequence[int]], pairs: Iterable[tuple[int, int]] | None = None
-) -> Iterator[tuple[int, int]]:
-    """Pairs (k, k') whose arrows to every third vertex agree in direction:
-    their sign rows are equal when no arrow joins them, and differ only at k
-    and k' when one does.  ``pairs`` are the candidates, all by default."""
-    sign = [[(x > 0) - (x < 0) for x in row] for row in rows]
-    for k, kp in combinations(range(len(rows)), 2) if pairs is None else pairs:
-        s, t = sign[k], sign[kp]
-        if sum(map(ne, s, t)) == 2 if rows[k][kp] else s == t:
-            yield k, kp
-
-
 def _twin_deletions(
-    rows: Sequence[Sequence[int]],
+    rows: Sequence[Sequence[int]], thin: Sequence[tuple[int, int]]
 ) -> Iterator[tuple[tuple[int, int], list[int], list[int]]]:
     """Each twin pair (k, k') whose two single-vertex deletions are both
     abundant, with the indices left by deleting k and those left by deleting
-    k'.  Both are abundant exactly when every pair but (k, k') is joined by
-    >= 2 arrows, so the thin pairs (|b| < 2) decide the candidates: all
-    pairs when there is none, the thin pair when there is one, none when
-    there are more.  Below rank 3 there are none: there the twin conditions
-    hold vacuously (single-vertex deletions are trivially abundant
-    acyclic), which would make every 2-vertex quiver a key, so the
-    key/pre-fork notions start at rank 3."""
-    n, thin = len(rows), []
-    for k, kp in combinations(range(n), 2):
-        if -2 < rows[k][kp] < 2:
-            thin.append((k, kp))
-            if len(thin) == 2:
-                return
-    for k, kp in _twin_pairs(rows, thin or None) if n >= 3 else ():
-        yield (k, kp), [v for v in range(n) if v != k], [v for v in range(n) if v != kp]
+    k'.  ``thin``, the :func:`_thin_pairs` of ``rows``, decides the
+    candidates (see the module docstring).  A twin pair's sign rows are
+    equal when no arrow joins it, and differ only at k and k' when one
+    does.  Below rank 3 there are none: there the twin conditions hold
+    vacuously (single-vertex deletions are trivially abundant acyclic),
+    which would make every 2-vertex quiver a key, so the key/pre-fork
+    notions start at rank 3."""
+    n = len(rows)
+    if n < 3 or len(thin) == 2:
+        return
+    sign = [[(x > 0) - (x < 0) for x in row] for row in rows]
+    for k, kp in thin or combinations(range(n), 2):
+        s, t = sign[k], sign[kp]
+        if sum(map(ne, s, t)) == 2 if rows[k][kp] else s == t:
+            yield (k, kp), [v for v in range(n) if v != k], [v for v in range(n) if v != kp]
 
 
 def _key_pairs(
-    rows: Sequence[Sequence[int]], acyclic: bool | None = None
+    rows: Sequence[Sequence[int]], thin: Sequence[tuple[int, int]]
 ) -> Iterator[tuple[int, int]]:
     """Twin pairs (k, k') of an acyclic quiver whose two single-vertex
     deletions are abundant (and acyclic with it); none when the quiver is
-    not acyclic (``acyclic``, when the caller knows it; else found only
-    once there is a candidate pair)."""
-    for pair, _, _ in _twin_deletions(rows):
+    not acyclic, which is found only once there is a candidate pair
+    (``thin`` as in :func:`_twin_deletions`)."""
+    acyclic = None
+    for pair, _, _ in _twin_deletions(rows, thin):
         if acyclic is None:
             acyclic = _source_order(rows, range(len(rows))) is not None
         if not acyclic:
@@ -200,18 +191,15 @@ def _key_pairs(
 
 
 def _prefork_pairs(
-    rows: Sequence[Sequence[int]], acyclic: bool | None = None
+    rows: Sequence[Sequence[int]], thin: Sequence[tuple[int, int]]
 ) -> Iterator[tuple[tuple[int, int], int]]:
     """``((k, k'), r)`` for each twin pair whose two single-vertex deletions
-    are forks with the common point of return r.  A deletion that is a fork
-    has a cycle, and so has the quiver, so its acyclicity need not be found;
-    a caller that knows it is acyclic (``acyclic``) gets none at once."""
-    if acyclic:
-        return
-    for pair, del_k, del_kp in _twin_deletions(rows):
-        common = frozenset(_points_of_return(rows, del_k, True))
+    are forks with the common point of return r, with no acyclicity test
+    (see the module docstring; ``thin`` as in :func:`_twin_deletions`)."""
+    for pair, del_k, del_kp in _twin_deletions(rows, thin):
+        common = frozenset(_points_of_return(rows, del_k))
         if common:
-            common &= frozenset(_points_of_return(rows, del_kp, True))
+            common &= frozenset(_points_of_return(rows, del_kp))
         for r in sorted(common):
             yield pair, r
 
@@ -223,18 +211,19 @@ def classify(q: Quiver) -> ClassificationReport:
     pairs; target sizes (n <= 16) keep this immediate.  A vertex deletion
     is the list of the other indices into ``q``'s rows.
     :func:`forkless_explore` asks the same generators only for their first
-    answer.
+    answer.  An acyclic quiver, which has no pre-fork pair, is not asked.
     """
     if q.is_framed:
         raise AlreadyFramedError("classify expects an unframed quiver")
     mut, rows, vs = q.mutable_labels, q.mutable_rows(), range(q.rank)
-    acyclic, abundant = _source_order(rows, vs) is not None, _abundant(rows, vs)
-    keys, preforks = _key_pairs(rows, acyclic), _prefork_pairs(rows, acyclic)
+    thin, acyclic = _thin_pairs(rows), _source_order(rows, vs) is not None
+    returns = () if thin else _points_of_return(rows, vs)
+    preforks = () if acyclic else _prefork_pairs(rows, thin)
     report = ClassificationReport(
         acyclic=acyclic,
-        abundant=abundant,
-        fork_returns=frozenset([mut[r] for r in _points_of_return(rows, vs, abundant)]),
-        key_pairs=tuple([((mut[k], mut[kp]), rows[k][kp]) for k, kp in keys]),
+        abundant=not thin,
+        fork_returns=frozenset([mut[r] for r in returns]),
+        key_pairs=tuple([((mut[k], mut[kp]), rows[k][kp]) for k, kp in _key_pairs(rows, thin)]),
         prefork_pairs=tuple([((mut[k], mut[kp]), mut[r]) for (k, kp), r in preforks]),
     )
     assert not report.fork_returns or report.abundant
@@ -337,13 +326,13 @@ def forkless_explore(
     the latter exploration can exhaust.
 
     The start is classified once, by :func:`classify`.  Each new neighbour
-    is asked only what decides whether to keep it, by the generators that
-    :func:`classify` collects, each stopped at its first answer: one with a
-    point of return is a fork, and only with ``discard_preforks`` is a
-    pre-fork pair looked for; neither finds the neighbour's acyclicity.  A
-    form met again on new rows is tested again (see :func:`explore`).
-    After the walk, each kept form but the start is tested once for a key
-    pair; ``key_forms`` follows the order of ``forms``, the start's first.
+    is asked only what decides whether to keep it, after one thin-pair
+    scan, by the generators that :func:`classify` collects, each stopped at
+    its first answer: one with a point of return is a fork, and only with
+    ``discard_preforks`` is a pre-fork pair looked for; neither finds the
+    neighbour's acyclicity.  A form met again on new rows is tested again
+    (see :func:`explore`).  After the walk, each kept form is tested once
+    for a key pair; ``key_forms`` follows the order of ``forms``.
 
     Raises ForkStartError when the starting quiver is itself a fork.
     """
@@ -354,13 +343,15 @@ def forkless_explore(
 
     def keep(rep: Quiver) -> bool:
         rows = rep.mutable_rows()
-        if _found(_points_of_return(rows, range(rep.rank))):
+        thin = _thin_pairs(rows)
+        if not thin and _found(_points_of_return(rows, range(rep.rank))):
             return False
-        return not (discard_preforks and _found(_prefork_pairs(rows)))
+        return not (discard_preforks and _found(_prefork_pairs(rows, thin)))
+
+    def is_key(rep: Quiver) -> bool:
+        rows = rep.mutable_rows()
+        return _found(_key_pairs(rows, _thin_pairs(rows)))
 
     walk = explore(q, node_budget, keep)
-    reps = iter(walk.forms.items())
-    first = next(reps)  # the start's, whose key pairs classify has found
-    key_forms = dict([first] if start.is_key else [])
-    key_forms.update((form, rep) for form, rep in reps if _found(_key_pairs(rep.mutable_rows())))
+    key_forms = {form: rep for form, rep in walk.forms.items() if is_key(rep)}
     return ClassEnumeration(walk.forms, walk.exhausted, key_forms)

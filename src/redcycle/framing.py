@@ -113,10 +113,12 @@ class CMatrix:
         for col in range(n):
             hits = [r for r in range(n) if self.rows[r][col] != 0]
             if len(hits) != 1 or self.rows[hits[0]][col] != -1:
-                raise InternalContradictionError(
-                    f"all-red C-matrix is not minus a permutation matrix: {self.rows}"
-                )
+                break
             mapping[self.labels[col]] = self.labels[hits[0]]
+        if len(set(mapping.values())) < n:  # a bad column, or two -1s in one row
+            raise InternalContradictionError(
+                f"all-red C-matrix is not minus a permutation matrix: {self.rows}"
+            )
         return Permutation(mapping)
 
 

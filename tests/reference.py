@@ -9,7 +9,8 @@ with no shortcut; both are the library's earlier code, kept as the oracle
 for its index-row predicates and for the shortcuts of its explore loop.
 :func:`canonical_order` is the earlier recursive form of
 ``quiver._canonical_order``, the oracle for the order its loop returns,
-and :func:`twin_pairs` the earlier whole-row count of ``_twin_pairs``.
+and :func:`twin_pairs` the earlier whole-row count of the twin test in
+``_twin_deletions``.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from redcycle import (
     is_acyclic,
     catalog_item,
 )
-from redcycle.classify import ClassEnumeration, ClassificationReport, _twin_pairs, explore
+from redcycle.classify import ClassEnumeration, ClassificationReport, _twin_deletions, explore
 from redcycle.errors import (
     AlreadyFramedError,
     CyclicQuiverError,
@@ -266,8 +266,8 @@ def test_twin_pairs_match_the_whole_sign_row_count():
     found = {"joined": 0, "apart": 0}
     for b in matrices:
         rows = [tuple(row) for row in b]
-        pairs = list(_twin_pairs(rows))
-        assert pairs == reference.twin_pairs(rows), rows
+        pairs = [pair for pair, _, _ in _twin_deletions(rows, [])]
+        assert pairs == (reference.twin_pairs(rows) if len(rows) >= 3 else []), rows
         for k, kp in pairs:
             found["joined" if rows[k][kp] else "apart"] += 1
     assert all(count >= 100 for count in found.values()), found
@@ -730,9 +730,10 @@ def test_walk_predicates_answer_as_classify_and_the_reference(monkeypatch):
     module = importlib.import_module("redcycle.classify")
     for q in cases:
         rows, vs = q.mutable_rows(), range(q.rank)
-        walk = (module._found(module._points_of_return(rows, vs)),
-                module._found(module._key_pairs(rows)),
-                module._found(module._prefork_pairs(rows)))
+        thin = module._thin_pairs(rows)
+        walk = (not thin and module._found(module._points_of_return(rows, vs)),
+                module._found(module._key_pairs(rows, thin)),
+                module._found(module._prefork_pairs(rows, thin)))
         for report in (classify(q), reference.classify(q)):
             assert walk == (bool(report.fork_returns), bool(report.key_pairs),
                             bool(report.prefork_pairs)), q
@@ -741,7 +742,7 @@ def test_walk_predicates_answer_as_classify_and_the_reference(monkeypatch):
         seen["fork"] += walk[0]
         seen["key"] += walk[1]
         seen["prefork"] += walk[2]
-        first = next(module._points_of_return(rows, vs), None)
+        first = None if thin else next(module._points_of_return(rows, vs), None)
         seen["first return at 0"] += first == 0
         seen["past 0"] += bool(first)
     assert all(count >= 10 for count in seen.values()), seen
@@ -763,16 +764,35 @@ def test_forkless_explore_rejects_budget_below_one():
     assert len(report.forms) == 1 and not report.exhausted
 
 
-def test_classify_tests_the_whole_quiver_for_abundance_once(monkeypatch):
-    # classify hands the report's abundance to _points_of_return, as it
-    # hands its acyclicity, so the catalog fork is tested once.
+def test_classify_and_the_walk_scan_each_quiver_for_thin_pairs_once(monkeypatch):
+    # One thin-pair scan answers abundance and the twin candidates: it
+    # returns the first two thin pairs (|b| < 2) in row-major order, and
+    # classify and the walk's keep, with and without discard_preforks, each
+    # scan a quiver once.
     module = importlib.import_module("redcycle.classify")
-    calls, real = [], module._abundant
-    monkeypatch.setattr(module, "_abundant", lambda *args: calls.append(args) or real(*args))
-    fork = catalog_item("quiver_types").quivers["fork"]
-    report = classify(fork)
-    assert report.is_fork and len(calls) == 1
-    assert report == reference.classify(fork)
+    rng = random.Random(3001)
+    types = catalog_item("quiver_types").quivers
+    quivers = [random_quiver(rng, 6, w) for w in (1, 2, 3) for _ in range(200)]
+    quivers += _weight_three_mix(rng) + _thin_pair_quivers(rng)
+    quivers += [types["fork"], types["key"], types["prefork"]]
+    real, sizes = module._thin_pairs, {0: 0, 1: 0, 2: 0}
+    for q in quivers:
+        rows = q.mutable_rows()
+        pairs = itertools.combinations(range(q.rank), 2)
+        thin = [(k, kp) for k, kp in pairs if abs(rows[k][kp]) < 2]
+        assert real(rows) == thin[:2], rows
+        sizes[len(thin[:2])] += 1
+    assert all(count >= 100 for count in sizes.values()), sizes
+    keeps = [_walk_keep(monkeypatch, discard) for discard in (False, True)]
+    calls = []
+    monkeypatch.setattr(module, "_thin_pairs", lambda rows: calls.append(rows) or real(rows))
+    for q in quivers:
+        for decide in (classify, *keeps):
+            calls.clear()
+            decide(q)
+            assert calls == [q.mutable_rows()], (decide, q)
+    fork = types["fork"]
+    assert classify(fork).is_fork and classify(fork) == reference.classify(fork)
 
 
 def test_dropping_one_zero_keeps_the_order_of_sorted_lists():
@@ -943,7 +963,7 @@ def test_twin_deletions_are_the_twin_pairs_with_two_abundant_deletions():
             (mut.index(k), mut.index(kp)) for k, kp in twins
             if all(reference._abundant(q, [v for v in mut if v != d]) for d in (k, kp))
         ]
-        got = list(module._twin_deletions(rows))
+        got = list(module._twin_deletions(rows, module._thin_pairs(rows)))
         assert [pair for pair, _, _ in got] == want, q
         for (k, kp), del_k, del_kp in got:
             assert del_k == [v for v in range(n) if v != k], q

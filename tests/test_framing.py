@@ -238,9 +238,11 @@ def test_reddening_permutation_is_the_one_verdict():
 
 
 def test_reddening_permutation_rejects_non_permutation_shapes():
-    # All red, but an entry is -2, or a column holds two -1s: neither is
-    # minus a permutation matrix, so the verdict is a contradiction.
-    for rows in (((-1, 0), (0, -2)), ((-1, 0), (-1, -1)), ((-1, -1), (0, -1))):
+    # All red, but an entry is -2, a column holds two -1s, or two columns
+    # hold their one -1 in the same row: none is minus a permutation
+    # matrix, so the verdict is a contradiction.
+    shapes = (((-1, 0), (0, -2)), ((-1, 0), (-1, -1)), ((-1, -1), (0, -1)), ((-1, -1), (0, 0)))
+    for rows in shapes:
         with pytest.raises(InternalContradictionError, match="not minus a permutation"):
             CMatrix((1, 2), rows).reddening_permutation()
 
