@@ -238,12 +238,14 @@ def canonical_form(q: Quiver) -> bytes:
     Equal canonical forms exactly characterize isomorphic quivers.  The
     rows are read in the canonical order of one cell of all vertices
     (``quiver._canonical_order``); by skew-symmetry the rows above fix
-    each row left of its diagonal.
+    each row left of its diagonal.  That order, a tuple of indices, is
+    left in the private slot ``q._order``, from which :func:`explore`
+    reads its back edges.
     """
     if q.is_framed:
         raise AlreadyFramedError("canonical_form expects an unframed quiver")
     rows = q.mutable_rows()
-    order = _canonical_order(rows, [list(range(q.rank))])
+    order = q._order = tuple(_canonical_order(rows, [list(range(q.rank))]))
     flat = ",".join([str(rows[i][j]) for i in order for j in order])
     return f"{q.rank}|{flat}".encode("ascii")
 
@@ -270,10 +272,23 @@ def explore(
     (fork and pre-fork status are).
 
     Labels stay fixed, so a neighbour with a stored representative's rows is
-    that quiver and is neither tested nor given a canonical form.  A vertex
-    whose row repeats an earlier row, or the entry vertex's row, is skipped:
-    such twins share no arrow, swapping them is an automorphism, and the
-    form is already known.
+    that quiver and is neither tested nor given a canonical form.
+
+    Each edge of the class graph is formed once.  When ``rep.mutate(v)``,
+    at index i, gets the form G, ``back[G]`` records p, the position of i
+    in its ordering (``_order``, see :func:`canonical_form`).  It and the
+    representative R of G read in their orderings give the same rows
+    (McKay and Piperno, *Practical graph isomorphism, II*, 2014), so
+    index ``R._order[p]`` is an isomorphic image of i, and mutating R
+    there gives a quiver isomorphic to ``rep``, whose form is stored.  So
+    when R is expanded, its indices at the positions in ``back[G]`` are
+    skipped (the entry vertex, whose mutation gives back the parent, is
+    one), and so is an index whose row repeats the row of one tried or
+    skipped: such twins share no arrow, and swapping them is an
+    automorphism.  This is exact: a skipped neighbour's entries are in
+    range, and it could only have been found stored, rejected by ``keep``
+    or given a known form, none of which changes ``forms``, their order or
+    ``exhausted``.
     """
     node_budget = _as_int(node_budget)
     if node_budget < 1:
@@ -281,27 +296,30 @@ def explore(
     start = canonical_form(q)
     forms: dict[bytes, Quiver] = {start: q}
     stored = {q.mutable_rows()}
-    # Each entry carries the row of its entry vertex: mutating there gives
-    # back the parent.
-    level: dict[bytes, tuple[Quiver, tuple[int, ...] | None]] = {start: (q, None)}
+    back: dict[bytes, set[int]] = {}
+    level = [start]
     while level and len(forms) < node_budget:
-        next_level: dict[bytes, tuple[Quiver, tuple[int, ...] | None]] = {}
-        for _, (rep, via) in sorted(level.items()):
+        next_level = []
+        for here in sorted(level):
+            rep = forms[here]
             rows = rep.mutable_rows()
+            tried = {rows[rep._order[p]] for p in back.get(here, ())}
             for i, v in enumerate(rep.mutable_labels):
-                if rows[i] == via or rows[i] in rows[:i]:
+                if rows[i] in tried:
                     continue
+                tried.add(rows[i])
                 neighbor = rep.mutate(v)
                 if neighbor.mutable_rows() in stored:
                     continue
                 if keep is not None and not keep(neighbor):
                     continue
                 form = canonical_form(neighbor)
+                back.setdefault(form, set()).add(neighbor._order.index(i))
                 if form in forms:
                     continue
                 forms[form] = neighbor
                 stored.add(neighbor.mutable_rows())
-                next_level[form] = (neighbor, neighbor.mutable_rows()[i])
+                next_level.append(form)
                 if len(forms) >= node_budget:
                     return ClassEnumeration(forms, False)
         level = next_level

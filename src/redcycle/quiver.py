@@ -165,10 +165,11 @@ class Quiver:
     The exchange matrix entry ``b(i, j)`` counts arrows ``i -> j`` minus
     arrows ``j -> i``.  No arrows join two frozen vertices: they cannot
     influence the mutable part or the C-matrix, so the mutable rows fix the
-    quiver and are all it stores.
+    quiver and are all it stores, but for the ordering that
+    ``classify.canonical_form`` leaves in the private slot ``_order``.
     """
 
-    __slots__ = ("_mutable", "_frozen_pairs", "_labels", "_index", "_rows")
+    __slots__ = ("_mutable", "_frozen_pairs", "_labels", "_index", "_rows", "_order")
 
     def __init__(
         self,
@@ -629,7 +630,10 @@ def _canonical_order(rows: Sequence[Sequence[int]], cells: list[list[int]]) -> l
                 row = rows[v]
                 tail = sorted([row[w] for w in first if w != v])
                 for cell in rest:
-                    tail += sorted(map(row.__getitem__, cell))
+                    if len(cell) == 1:
+                        tail.append(row[cell[0]])
+                    else:
+                        tail += sorted(map(row.__getitem__, cell))
                 if least is None or tail < least:
                     least, chosen = tail, [v]
                 elif tail == least:

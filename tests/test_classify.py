@@ -1,7 +1,9 @@
 """Structural predicates, canonical forms, forkless exploration."""
 
+import copy
 import importlib
 import itertools
+import pickle
 import random
 
 import pytest
@@ -384,6 +386,98 @@ def test_explore_computes_one_canonical_form_per_stored_state(monkeypatch):
     # Mutating at leaf 6 after its twin 5 gives an isomorphic quiver.
     assert q.mutate(6).mutable_rows() in calls["reference"]
     assert q.mutate(6).mutable_rows() not in calls["library"]
+
+
+def _back_edge_skips(monkeypatch, walk, q, budget, keep=None) -> int:
+    """Run ``walk()`` with ``Quiver.mutate`` recording each (rows, vertex)
+    it is asked, then replay ``reference.explore``'s walk of ``q`` (``keep``
+    as there, on the quiver alone) and count the vertices the library left
+    unmutated that are neither the entry vertex, nor a twin of it or of an
+    earlier vertex.  Each such neighbour's form must be stored before its
+    representative is expanded: the back-edge rule of ``explore``."""
+    mutated, real = set(), Quiver.mutate
+
+    def recording(self, v):
+        mutated.add((self.mutable_rows(), v))
+        return real(self, v)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Quiver, "mutate", recording)
+        walked = walk()
+    start = canonical_form(q)
+    forms, rejected, skipped = {start: q}, set(), 0
+    level = {start: (q, None)}
+    while level and len(forms) < budget:
+        next_level = {}
+        for _, (rep, via) in sorted(level.items()):
+            known, rows, labels = set(forms), rep.mutable_rows(), rep.mutable_labels
+            entry = None if via is None else rows[labels.index(via)]
+            for i, v in enumerate(labels):
+                neighbor = rep.mutate(v)
+                form = canonical_form(neighbor)
+                if (rows, v) not in mutated and rows[i] != entry and rows[i] not in rows[:i]:
+                    assert form in known, (q, rep, v)
+                    skipped += 1
+                if form in forms or form in rejected:
+                    continue
+                if keep is not None and not keep(neighbor):
+                    rejected.add(form)
+                    continue
+                forms[form] = neighbor
+                next_level[form] = (neighbor, v)
+                if len(forms) >= budget:
+                    assert list(forms) == list(walked.forms)
+                    return skipped
+        level = next_level
+    assert list(forms) == list(walked.forms)
+    return skipped
+
+
+def test_explore_skips_only_neighbours_whose_form_is_stored(monkeypatch):
+    # The walks of test_explore_shortcuts_keep_every_form_and_order that
+    # stay in the 64-bit range: every Dynkin orientation, the seeded
+    # quivers, and the forkless walks of one orientation of each Dynkin
+    # tree and of the seeded quivers, both modes.
+    rng = random.Random(1607)
+    seeded = [(random_quiver(rng, 4, 3, min_n=3), rng.choice((20, 60))) for _ in range(40)]
+    skips = {}
+    for kind, edges in _DYNKIN_EDGES.items():
+        for q in _orientations(edges):
+            skips.setdefault(kind, []).append(
+                _back_edge_skips(monkeypatch, lambda: enumerate_class(q, 1000), q, 1000))
+    for q, budget in seeded:
+        skips.setdefault("seeded", []).append(
+            _back_edge_skips(monkeypatch, lambda: enumerate_class(q, budget), q, budget))
+    firsts = [(_orientations(edges)[0], 1000) for edges in _DYNKIN_EDGES.values()]
+    for (q, budget), discard in itertools.product(firsts + seeded, (False, True)):
+        if classify(q).is_fork:
+            continue
+
+        def keep(p):
+            report = classify(p)
+            return not (report.is_fork or (discard and report.is_prefork))
+
+        skips.setdefault(("forkless", discard), []).append(_back_edge_skips(
+            monkeypatch, lambda: forkless_explore(q, budget, discard), q, budget, keep))
+    assert min(skips["E6"]) > 0 and min(skips["D6"]) > 0, skips
+    assert all(map(sum, skips.values())), skips
+
+
+def test_canonical_form_leaves_an_invisible_ordering():
+    rng = random.Random(3107)
+    for _ in range(60):
+        q = random_quiver(rng, 6, 4)
+        before = (copy.copy(q), hash(q), repr(q), q.encode())
+        form = canonical_form(q)
+        assert (q, hash(q), repr(q), q.encode()) == before
+        assert copy.copy(q) == copy.deepcopy(q) == pickle.loads(pickle.dumps(q)) == before[0]
+        order, rows = q._order, q.mutable_rows()
+        assert type(order) is tuple and sorted(order) == list(range(q.rank))
+        flat = ",".join([str(rows[i][j]) for i in order for j in order])
+        assert f"{q.rank}|{flat}".encode("ascii") == form
+        sigma = Permutation(dict(zip(q.mutable_labels, reversed(q.mutable_labels))))
+        derived = (q.mutate(q.mutable_labels[0]), q.permuted(sigma), q.relabeled({1: 99}))
+        assert not any(hasattr(p, "_order") for p in derived)
 
 
 def test_predicates_small_cases():
