@@ -276,26 +276,26 @@ def explore(
 
     Each edge of the class graph is formed once.  When ``rep.mutate(v)``,
     at index i, gets the form G, ``back[G]`` records p, the position of i
-    in its ordering (``_order``, see :func:`canonical_form`).  It and the
-    representative R of G read in their orderings give the same rows
-    (McKay and Piperno, *Practical graph isomorphism, II*, 2014), so
-    index ``R._order[p]`` is an isomorphic image of i, and mutating R
-    there gives a quiver isomorphic to ``rep``, whose form is stored.  So
-    when R is expanded, its indices at the positions in ``back[G]`` are
-    skipped (the entry vertex, whose mutation gives back the parent, is
-    one), and so is an index whose row repeats the row of one tried or
-    skipped: such twins share no arrow, and swapping them is an
-    automorphism.  This is exact: a skipped neighbour's entries are in
-    range, and it could only have been found stored, rejected by ``keep``
-    or given a known form, none of which changes ``forms``, their order or
-    ``exhausted``.
+    in its ordering (``_order``, see :func:`canonical_form`), or in that of
+    G's representative R when it has R's rows.  It and R read in their
+    orderings give the same rows (McKay and Piperno, *Practical graph
+    isomorphism, II*, 2014), so index ``R._order[p]`` is an isomorphic
+    image of i, and mutating R there gives a quiver isomorphic to ``rep``,
+    whose form is stored.  So when R is expanded, its indices at the
+    positions in ``back[G]`` are skipped (the entry vertex, whose mutation
+    gives back the parent, is one), and so is an index whose row repeats
+    the row of one tried or skipped: such twins share no arrow, and
+    swapping them is an automorphism.  This is exact: a skipped neighbour's
+    entries are in range, and it could only have been found stored,
+    rejected by ``keep`` or given a known form, none of which changes
+    ``forms``, their order or ``exhausted``.
     """
     node_budget = _as_int(node_budget)
     if node_budget < 1:
         raise OutOfRangeError(f"node budget must be >= 1, got {node_budget}")
     start = canonical_form(q)
     forms: dict[bytes, Quiver] = {start: q}
-    stored = {q.mutable_rows()}
+    stored = {q.mutable_rows(): start}
     back: dict[bytes, set[int]] = {}
     level = [start]
     while level and len(forms) < node_budget:
@@ -309,7 +309,8 @@ def explore(
                     continue
                 tried.add(rows[i])
                 neighbor = rep.mutate(v)
-                if neighbor.mutable_rows() in stored:
+                if (known := stored.get(neighbor.mutable_rows())) is not None:
+                    back.setdefault(known, set()).add(forms[known]._order.index(i))
                     continue
                 if keep is not None and not keep(neighbor):
                     continue
@@ -318,7 +319,7 @@ def explore(
                 if form in forms:
                     continue
                 forms[form] = neighbor
-                stored.add(neighbor.mutable_rows())
+                stored[neighbor.mutable_rows()] = form
                 next_level.append(form)
                 if len(forms) >= node_budget:
                     return ClassEnumeration(forms, False)

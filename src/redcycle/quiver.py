@@ -106,16 +106,24 @@ def _mutated_rows(
     Entry (i, j) grows by ``|b_ik| * b_kj`` where ``b_ik`` and ``b_kj`` have
     the same sign (Fomin and Zelevinsky's rule), and row and column k change
     sign.  When ``rows`` are within ``[-limit, limit]``, only the grown
-    entries can leave it, so only they are checked, as they are written:
-    the first one beyond it raises ``OverflowError(i, j)``.  Rows, then
+    entries can leave it, each on one side: with ``b_ik > 0`` they rise
+    from at least ``-limit``, with ``b_ik < 0`` they fall from at most
+    ``limit``.  So each is checked on its side alone, as it is written, and
+    the first one beyond raises ``OverflowError(i, j)``.  Rows, then
     columns, are scanned in ascending order, and (j, i) grows with (i, j),
     so that entry has ``i < j`` and is the first out-of-range pair of the
     square matrix in row-major order.  Rows that do not touch k are shared
     with ``rows``; changed ones are new tuples.
     """
     rowk = rows[k]
-    pos = [j for j, c in enumerate(rowk) if c > 0]
-    neg = [j for j, c in enumerate(rowk) if c < 0]
+    pos, neg, flipped = [], [], []
+    for j, c in enumerate(rowk):
+        flipped.append(-c)
+        if c > 0:
+            pos.append(j)
+        elif c < 0:
+            neg.append(j)
+    low = -limit
     new = list(rows)
     for i, row in enumerate(rows):
         a = row[k]
@@ -123,25 +131,29 @@ def _mutated_rows(
             continue
         r = list(row)
         r[k] = -a
-        for j in pos if a > 0 else neg:
-            x = r[j] + abs(a) * rowk[j]
-            if abs(x) > limit:
-                raise OverflowError(i, j)
-            r[j] = x
+        if a > 0:
+            for j in pos:
+                x = r[j] + a * rowk[j]
+                if x > limit:
+                    raise OverflowError(i, j)
+                r[j] = x
+        else:
+            for j in neg:
+                x = r[j] - a * rowk[j]
+                if x < low:
+                    raise OverflowError(i, j)
+                r[j] = x
         new[i] = tuple(r)
-    new[k] = tuple([-x for x in rowk])
+    new[k] = tuple(flipped)
     return new
 
 
 def _overflows(rows: Sequence[Sequence[int]], k: int, limit: int) -> bool:
-    """Whether :func:`_mutated_rows` at k raises, without building a row:
-    whether some grown entry ``r[j] + |a| * rowk[j]`` of a row ``r`` with
-    ``a = r[k]`` leaves ``[-limit, limit]``, ``rows`` being within it.
-
-    For ``a > 0`` a grown entry lies above ``r[j]`` and at most at
-    ``max(r) + a * max(rowk)``, so a row within that bound cannot raise; for
-    ``a < 0`` it lies below ``r[j]`` and at least at ``min(r) + |a| * min(rowk)``.
-    Only a row past its bound has its grown entries checked one by one.
+    """Whether :func:`_mutated_rows` at k raises, ``rows`` being within
+    ``[-limit, limit]``, without building a row.  A row ``r`` with
+    ``a = r[k] > 0`` grows up to at most ``max(r) + a * max(rowk)``, one
+    with ``a < 0`` down to at least ``min(r) + |a| * min(rowk)``; only a row
+    past its bound has its grown entries checked one by one.
     """
     rowk = rows[k]
     hi, lo = max(rowk), min(rowk)

@@ -23,10 +23,13 @@ leaf can be all red only when k is its parent's one green row.  A frame
 whose children are leaves builds only that child, which goes the way every
 child goes, and asks of every other child only whether the kernel would
 raise (``quiver._overflows`` answers as the kernel does, without building a
-row); a yes is one cut, as it is for a built child.  Order, finds and cuts
-are those of the full walk under every flag: the other children are tried in
-the same order, after the same ``reduced_only`` and ``green_only`` tests,
-and none of them could be recorded, whether its state is on the path or not.
+row); a yes is one cut, as it is for a built child.  It asks none when
+``m + m * m``, m being its state's largest |entry|, is within the
+guardrail, since no grown entry ``r[j] + |r[k]| * c`` can pass that.
+Order, finds and cuts are those of the full walk under every flag: the
+other children are tried in the same order, after the same
+``reduced_only`` and ``green_only`` tests, and none of them could be
+recorded, whether its state is on the path or not.
 
 Finished subtrees are reused.  A framed state is fixed by its C-matrix,
 since ``B_t = C_t B_0 C_t^T`` (the tropical duality of Nakanishi and
@@ -172,6 +175,14 @@ def search_reddening(
         if leaf:
             greens = [i for i, row in enumerate(rows) if max(row[n:]) > 0]
             lone = greens[0] if len(greens) == 1 else -1
+            m = 0  # the largest |entry|; a grown one is at most m + m * m
+            for row in rows:
+                for x in row:
+                    if x > m:
+                        m = x
+                    elif -x > m:
+                        m = -x
+            bounded = m + m * m <= weight_limit
         for i, v in untried:
             if alike and not seq:
                 roots.append((len(found), overflow))
@@ -195,7 +206,7 @@ def search_reddening(
             if green_only and _color(rows[i][n:], v) is not Color.GREEN:
                 continue
             if leaf and i != lone:
-                if _overflows(rows, i, weight_limit):
+                if not bounded and _overflows(rows, i, weight_limit):
                     overflow += 1
                 continue
             try:

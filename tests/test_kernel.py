@@ -9,13 +9,16 @@ framed and coframed states of rank 1 to 6.
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redcycle import Quiver, coframed, framed
 from redcycle.errors import IntegerOverflowError
-from redcycle.quiver import INT_LIMIT, _mutated_rows
+from redcycle.quiver import INT_LIMIT, _mutated_rows, _overflows
 
 from reference import first_over, mutate_matrix
 
@@ -93,3 +96,39 @@ def test_mutate_names_the_first_overflowing_pair_in_row_major_order(case):
         at = f"({state.labels[i]}, {state.labels[j]})"
         assert str(info.value) == f"arrow multiplicity exceeds 64-bit range at {at}"
         return
+
+
+def test_kernel_checks_each_side_of_the_range_at_its_edge():
+    # Seeded states of rank 2 to 6, framed and not, in which one pair holds
+    # exactly the limit, so the matrix holds +limit and -limit at once.  A
+    # step may grow an entry past either edge, grow one onto it, or leave
+    # the edge entries as they are; the kernel and the overflow test must
+    # answer as the textbook rule does on each.
+    rng = random.Random(432)
+    raised = {1: 0, -1: 0}
+    kept_at_edge = 0  # steps that raise nothing from a state with entries at the edge
+    for state_no in range(600):
+        n = rng.randint(2, 6)
+        limit = rng.randint(3, 12)
+        b = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            b[i][j] = rng.randint(-3, 3)
+            b[j][i] = -b[i][j]
+        i, j = rng.sample(range(n), 2)
+        b[i][j], b[j][i] = limit, -limit
+        q = Quiver(range(1, n + 1), b)
+        q = framed(q) if state_no % 2 else q
+        rows, square, frozen = q.mutable_rows(), [list(r) for r in q.rows()], _frozen_block(q)
+        for k in range(n):
+            child = mutate_matrix(square, k)
+            over = first_over(child, limit, frozen)
+            assert _overflows(rows, k, limit) == (over is not None), (rows, k, limit)
+            if over is None:
+                assert [list(r) for r in _mutated_rows(rows, k, limit)] == child[:n]
+                kept_at_edge += 1
+                continue
+            with pytest.raises(OverflowError) as info:
+                _mutated_rows(rows, k, limit)
+            assert info.value.args == over, (rows, k, limit)
+            raised[1 if child[over[0]][over[1]] > 0 else -1] += 1
+    assert min(raised.values()) >= 300 and kept_at_edge >= 1000, (raised, kept_at_edge)

@@ -219,6 +219,38 @@ def test_overflow_test_answers_as_the_kernel():
     assert past_bound >= 100, past_bound
 
 
+def test_no_step_overflows_within_the_frame_wide_bound():
+    # The premise on which a leaf frame skips its overflow tests: with m the
+    # largest |entry| of a state, no step grows an entry past m + m * m.
+    # Seeded framed states of rank 1 to 6 with weights up to 3, walked up
+    # to 8 steps, under limits around that bound (those the state is within).
+    rng = random.Random(3200)
+    within = past = 0  # states under a limit within the bound; past it, with a cut
+    for _ in range(1500):
+        rows = framed(random_quiver(rng, min_n=1, max_n=6, max_weight=3)).mutable_rows()
+        for _ in range(rng.randint(0, 8)):
+            rows = _mutated_rows(rows, rng.randrange(len(rows)), 10**10_000)
+        m = max(abs(x) for row in rows for x in row)
+        for limit in range(max(m, m + m * m - 2), m + m * m + 2):
+            if m + m * m <= limit:
+                for k in range(len(rows)):
+                    assert not _overflows(rows, k, limit), (rows, k, limit)
+                    _mutated_rows(rows, k, limit)
+                within += 1
+            else:
+                past += any(_raises(rows, k, limit) for k in range(len(rows)))
+    assert within >= 2500 and past >= 50, (within, past)
+    # The bound is tight: on the acyclic triangle with every weight m, the
+    # step at the middle vertex grows b_13 to m + m * m, so a search of one
+    # step (a leaf frame at its root) cuts that child under a limit one less.
+    for m in range(1, 6):
+        q = Quiver.from_arrows([1, 2, 3], [(1, 2, m), (2, 3, m), (1, 3, m)])
+        for limit, cuts in ((m + m * m - 1, 1), (m + m * m, 0)):
+            result = search_reddening(q, 1, weight_limit=limit)
+            assert result.overflow_branches == cuts, (m, limit)
+            assert (result.sequences, cuts) == reference_search_reddening(q, 1, weight_limit=limit)
+
+
 def _leaf_cuts(monkeypatch):
     """Patch the search's overflow test to count the cuts it finds; returns
     the running count as a one-element list."""
