@@ -174,20 +174,18 @@ def _twin_deletions(
             yield (k, kp), [v for v in range(n) if v != k], [v for v in range(n) if v != kp]
 
 
-def _key_pairs(
-    rows: Sequence[Sequence[int]], thin: Sequence[tuple[int, int]]
-) -> Iterator[tuple[int, int]]:
-    """Twin pairs (k, k') of an acyclic quiver whose two single-vertex
-    deletions are abundant (and acyclic with it); none when the quiver is
-    not acyclic, which is found only once there is a candidate pair
-    (``thin`` as in :func:`_twin_deletions`)."""
-    acyclic = None
-    for pair, _, _ in _twin_deletions(rows, thin):
-        if acyclic is None:
-            acyclic = _source_order(rows, range(len(rows))) is not None
-        if not acyclic:
-            return
-        yield pair
+def _found(answers: Iterator[object]) -> bool:
+    """Whether a generator of answers has a first one (a point of return may
+    be index 0, which is falsy, so :func:`any` will not do)."""
+    return next(answers, None) is not None
+
+
+def _is_key(rows: Sequence[Sequence[int]], thin: Sequence[tuple[int, int]]) -> bool:
+    """Whether the quiver is a key: acyclic, with a twin pair whose two
+    deletions are abundant.  Acyclicity is tested only once there is such a
+    pair (``thin`` as in :func:`_twin_deletions`)."""
+    twins = _found(_twin_deletions(rows, thin))
+    return twins and _source_order(rows, range(len(rows))) is not None
 
 
 def _prefork_pairs(
@@ -211,19 +209,22 @@ def classify(q: Quiver) -> ClassificationReport:
     pairs; target sizes (n <= 16) keep this immediate.  A vertex deletion
     is the list of the other indices into ``q``'s rows.
     :func:`forkless_explore` asks the same generators only for their first
-    answer.  An acyclic quiver, which has no pre-fork pair, is not asked.
+    answer.  One source order decides acyclicity: the key pairs of an
+    acyclic quiver are its twin deletions, and it has no pre-fork pair; a
+    quiver with a cycle has no key pair.
     """
     if q.is_framed:
         raise AlreadyFramedError("classify expects an unframed quiver")
     mut, rows, vs = q.mutable_labels, q.mutable_rows(), range(q.rank)
     thin, acyclic = _thin_pairs(rows), _source_order(rows, vs) is not None
     returns = () if thin else _points_of_return(rows, vs)
+    keys = _twin_deletions(rows, thin) if acyclic else ()
     preforks = () if acyclic else _prefork_pairs(rows, thin)
     report = ClassificationReport(
         acyclic=acyclic,
         abundant=not thin,
         fork_returns=frozenset([mut[r] for r in returns]),
-        key_pairs=tuple([((mut[k], mut[kp]), rows[k][kp]) for k, kp in _key_pairs(rows, thin)]),
+        key_pairs=tuple([((mut[k], mut[kp]), rows[k][kp]) for (k, kp), _, _ in keys]),
         prefork_pairs=tuple([((mut[k], mut[kp]), mut[r]) for (k, kp), r in preforks]),
     )
     assert not report.fork_returns or report.abundant
@@ -327,12 +328,6 @@ def explore(
     return ClassEnumeration(forms, len(forms) < node_budget)
 
 
-def _found(answers: Iterator[object]) -> bool:
-    """Whether a generator of answers has a first one (a point of return may
-    be index 0, which is falsy, so :func:`any` will not do)."""
-    return next(answers, None) is not None
-
-
 def forkless_explore(
     q: Quiver, node_budget: int = DEFAULT_BUDGET, discard_preforks: bool = False
 ) -> ClassEnumeration:
@@ -344,14 +339,10 @@ def forkless_explore(
     have an infinite forkless part but a finite pre-forkless one, so only
     the latter exploration can exhaust.
 
-    The start is classified once, by :func:`classify`.  Each new neighbour
-    is asked only what decides whether to keep it, after one thin-pair
-    scan, by the generators that :func:`classify` collects, each stopped at
-    its first answer: one with a point of return is a fork, and only with
-    ``discard_preforks`` is a pre-fork pair looked for; neither finds the
-    neighbour's acyclicity.  A form met again on new rows is tested again
-    (see :func:`explore`).  After the walk, each kept form is tested once
-    for a key pair; ``key_forms`` follows the order of ``forms``.
+    The start is classified once, by :func:`classify`; each new neighbour
+    is asked for the first witness of what decides whether to keep it (see
+    the module docstring), and each kept form, after the walk, whether it is
+    a key; ``key_forms`` follows the order of ``forms``.
 
     Raises ForkStartError when the starting quiver is itself a fork.
     """
@@ -367,10 +358,9 @@ def forkless_explore(
             return False
         return not (discard_preforks and _found(_prefork_pairs(rows, thin)))
 
-    def is_key(rep: Quiver) -> bool:
-        rows = rep.mutable_rows()
-        return _found(_key_pairs(rows, _thin_pairs(rows)))
-
     walk = explore(q, node_budget, keep)
-    key_forms = {form: rep for form, rep in walk.forms.items() if is_key(rep)}
+    key_forms = {
+        form: rep for form, rep in walk.forms.items()
+        if _is_key(rows := rep.mutable_rows(), _thin_pairs(rows))
+    }
     return ClassEnumeration(walk.forms, walk.exhausted, key_forms)

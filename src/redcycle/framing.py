@@ -5,12 +5,6 @@ coframing orients those arrows the other way.  The C-matrix of a mutation
 sequence records, for each mutable vertex, its signed arrow counts to the
 frozen vertices of the mutated framed quiver.  Row sign-coherence of every
 C-matrix is a theorem, so a violation is always raised as a hard error.
-
-A framed state is the n mutable rows over the n + m columns of its
-labels, mutable then frozen (:meth:`Quiver.mutable_rows`); the frozen rows
-are implied, each minus a column of those rows.  From ``framed(q)`` on, the
-i-th mutable label's partner is column n + i, so the C-matrix is the right
-half of the rows, which the framed walks and the search slice alike.
 Every color and reddening verdict in the package comes from here.
 """
 

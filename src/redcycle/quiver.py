@@ -6,9 +6,13 @@ Labels are opaque positive integers and are never renumbered implicitly; a
 quiver may additionally carry frozen vertices, each paired with the mutable
 vertex it was split off from.
 
-All values are immutable; every operation returns a fresh quiver.  Arrow
-multiplicities are kept exact and checked against the signed 64-bit range,
-since mutation can grow entries exponentially.
+All values are immutable; every operation returns a fresh quiver.  The one
+exception is the private slot ``_order``, which ``classify.canonical_form``
+fills with the canonical ordering it found.  It is invisible to ``==``,
+``hash`` and ``encode``, and ``classify.explore`` reads it, so a form and
+its ordering come from one ``canonical_form`` call.  Arrow multiplicities
+are kept exact and checked against the signed 64-bit range, since mutation
+can grow entries exponentially.
 
 A quiver stores only the rows of its n mutable vertices, over all n + m
 columns in the ascending layout (mutable labels then frozen labels, each
@@ -16,26 +20,11 @@ ascending): the transpose of the extended exchange matrix of Fomin and
 Zelevinsky (*Cluster algebras IV: coefficients*, 2007).  The frozen rows
 are implied: no arrows join two frozen vertices, so frozen row f is minus
 column f of the mutable rows, and :meth:`Quiver.rows` builds the square
-matrix on demand.  Mutation acts on the mutable rows by one rectangular
-rule (:func:`_mutated_rows`).  :meth:`Quiver.walk` applies a sequence
-step by step, and numbers the step at which an overflow happens.  A walk's
-:func:`encodings` (``encode`` is the one-state case) rewrite only changed rows.
-Tuples are built from lists: CPython's ``tuple(generator)`` resizes a 10-slot
-tuple, so the free lists of the other sizes fill with memory nothing reuses.
-
-Input is validated where it enters the library, by :meth:`Quiver._validate`
-alone: labels and the frozen pairing, then the arrows, from one of two
-readers it calls, then the 64-bit range and frozen-frozen arrows.  The
-reader of :meth:`Quiver.from_arrows` checks arrow endpoints, loops,
-multiplicities (each converted once) and pairs listed in both directions,
-after ``from_arrows`` has checked each arrow's shape; that of ``Quiver(...)``
-a matrix's shape, zero diagonal and skew-symmetry, after its entries have
-converted to integers, and finds the arrows as indices without naming them
-by label.  Quivers derived from checked ones (mutation,
-restriction, the opposite, relabelings, framings) go through the private
-trusted constructor, which checks nothing: the mutation kernel checks the
-64-bit range of the entries it grows.  ``extcycles.triangular_extension``
-mixes in an outside matrix, so it rebuilds through ``from_arrows`` instead.
+matrix on demand.  Input is validated where it enters the library, by
+:meth:`Quiver._validate` alone; quivers derived from checked ones go
+through :meth:`Quiver._trusted`, which checks nothing.  Tuples are built
+from lists: CPython's ``tuple(generator)`` resizes a 10-slot tuple, so the
+free lists of the other sizes fill with memory nothing reuses.
 """
 
 from __future__ import annotations
@@ -177,8 +166,7 @@ class Quiver:
     The exchange matrix entry ``b(i, j)`` counts arrows ``i -> j`` minus
     arrows ``j -> i``.  No arrows join two frozen vertices: they cannot
     influence the mutable part or the C-matrix, so the mutable rows fix the
-    quiver and are all it stores, but for the ordering that
-    ``classify.canonical_form`` leaves in the private slot ``_order``.
+    quiver and are all it stores (and ``_order``, see the module docstring).
     """
 
     __slots__ = ("_mutable", "_frozen_pairs", "_labels", "_index", "_rows", "_order")

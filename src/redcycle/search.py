@@ -3,12 +3,10 @@
 The reddening search walks framed states depth-first in ascending vertex
 order, so results are deterministic and come out in lexicographic order.
 Each state is the n mutable rows over the 2n columns of the framed quiver;
-the frozen rows are implied, and the C-matrix is the right half of the rows
-(``row[n:]``), made a ``CMatrix`` only for a sequence found.  A branch whose
-weights pass a guardrail is aborted and counted, not silently dropped: the
-mutation kernel checks each entry it grows as it writes it and raises at the
-first one over the guardrail, and that raise is one cut.  A search is
-*complete* within its length bound exactly when no branch was aborted.
+the C-matrix is the right half of the rows (``row[n:]``), made a
+``CMatrix`` only for a sequence found.  Only the entries a step grows can
+pass the guardrail, and the mutation kernel checks each as it writes it:
+its raise at the first one over is one cut.
 
 The last level is decided without building it.  A leaf is never expanded, so
 it only has to tell whether its step is cut and whether it is all red.  Row
@@ -79,13 +77,9 @@ _MEMO_CAP = 1024
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Reddening sequences found within a length bound.
-
-    ``sequences`` pairs each sequence with its associated permutation,
-    sorted lexicographically.  ``complete`` is False when some branch was
-    aborted by the weight guardrail, in which case ``overflow_branches``
-    counts them.
-    """
+    """Reddening sequences found within a length bound, each with its
+    associated permutation, sorted lexicographically, and the branches the
+    weight guardrail cut (see :func:`search_reddening`)."""
 
     sequences: tuple[tuple[MutationSequence, Permutation], ...]
     overflow_branches: int
@@ -122,6 +116,13 @@ def search_reddening(
         rank-2 classification counts (a sequence that revisits a state
         contains a removable loop).  Off by default, since it changes which
         sequences are reported, not just how fast.
+
+    ``weight_limit`` is a per-branch guardrail: a step that grows an
+    |entry| past it cuts its branch, which is counted in
+    ``overflow_branches``, and the result is ``complete`` only when no
+    branch was cut.  A start over the guardrail has every one of its n
+    children cut (with ``max_len`` >= 1): its C is the identity, so every
+    vertex is green.
     """
     max_len = _as_int(max_len)
     weight_limit = _as_int(weight_limit)
@@ -132,9 +133,6 @@ def search_reddening(
     n = len(mutable)
     cols = tuple(range(n, 2 * n))  # the frame's columns, where C sits
     rows0 = start.mutable_rows()
-    # A child passes the guardrail when the entries its mutation grew do
-    # (every other |entry| is its parent's).  A start over it has all of its
-    # n children cut: its C is the identity, so every vertex is green.
     if max_len and any(abs(x) > weight_limit for row in rows0 for x in row):
         return SearchResult(sequences=(), overflow_branches=n)
 

@@ -826,7 +826,7 @@ def test_walk_predicates_answer_as_classify_and_the_reference(monkeypatch):
         rows, vs = q.mutable_rows(), range(q.rank)
         thin = module._thin_pairs(rows)
         walk = (not thin and module._found(module._points_of_return(rows, vs)),
-                module._found(module._key_pairs(rows, thin)),
+                module._is_key(rows, thin),
                 module._found(module._prefork_pairs(rows, thin)))
         for report in (classify(q), reference.classify(q)):
             assert walk == (bool(report.fork_returns), bool(report.key_pairs),
@@ -887,6 +887,22 @@ def test_classify_and_the_walk_scan_each_quiver_for_thin_pairs_once(monkeypatch)
             assert calls == [q.mutable_rows()], (decide, q)
     fork = types["fork"]
     assert classify(fork).is_fork and classify(fork) == reference.classify(fork)
+
+
+def test_classify_decides_acyclicity_with_one_source_order(monkeypatch):
+    # The report's acyclicity verdict also gates the key pairs: on the
+    # catalog key, acyclic with the twin pair (1, 3), classify runs one
+    # source order, and the walk's key test runs one too.
+    module = importlib.import_module("redcycle.classify")
+    real, calls = module._source_order, []
+    monkeypatch.setattr(module, "_source_order", lambda *args: calls.append(args) or real(*args))
+    key = catalog_item("quiver_types").quivers["key"]
+    report = classify(key)
+    assert report.acyclic and report.key_pairs == (((1, 3), 0),)
+    assert len(calls) == 1, calls
+    calls.clear()
+    rows = key.mutable_rows()
+    assert module._is_key(rows, module._thin_pairs(rows)) and len(calls) == 1, calls
 
 
 def test_dropping_one_zero_keeps_the_order_of_sorted_lists():

@@ -148,6 +148,27 @@ def test_search_matches_brute_force_enumeration():
         assert mine == brute_reddening_sequences(q, max_len, reduced)
 
 
+def _oracle_sweep(q: Quiver, lengths, limits=(None,)) -> list:
+    """Search ``q`` under every flag combination, at each length bound in
+    ``lengths`` and each guardrail in ``limits`` (None for the default),
+    assert that its finds and cuts are ``reference_search_reddening``'s,
+    and return each ``(max_len, result)``."""
+    flags = ("reduced_only", "green_only", "first_only", "prune_revisited")
+    runs = []
+    for values in itertools.product((False, True), repeat=len(flags)):
+        for max_len in lengths:
+            for limit in limits:
+                kwargs = dict(zip(flags, values))
+                if limit is not None:
+                    kwargs["weight_limit"] = limit
+                result = search_reddening(q, max_len, **kwargs)
+                expected = reference_search_reddening(q, max_len, **kwargs)
+                assert (result.sequences, result.overflow_branches) == expected, (
+                    q, max_len, kwargs)
+                runs.append((max_len, result))
+    return runs
+
+
 def test_search_matches_recursive_reference():
     # Every flag combination, every length bound up to 6, at the default
     # guardrail and at one low enough that branches are cut.  Subtrees are
@@ -155,7 +176,6 @@ def test_search_matches_recursive_reference():
     # reuse many; rank2(3)'s weights grow, so the low guardrail cuts inside
     # memoized subtrees.
     rng = random.Random(211)
-    flags = ("reduced_only", "green_only", "first_only", "prune_revisited")
     cases = [
         (random_quiver(rng, min_n=rank, max_n=rank, max_weight=2), range(7))
         for rank in (1, 2, 3, 4)
@@ -163,16 +183,9 @@ def test_search_matches_recursive_reference():
     cases += [(rank2(1), (7, 8)), (rank2(3), (7, 8)), (cases[2][0], (7, 8))]
     found = cut = 0
     for q, lengths in cases:
-        for values in itertools.product((False, True), repeat=len(flags)):
-            for max_len in lengths:
-                for limit in ({}, {"weight_limit": 2**6}):
-                    kwargs = dict(zip(flags, values), **limit)
-                    result = search_reddening(q, max_len, **kwargs)
-                    expected = reference_search_reddening(q, max_len, **kwargs)
-                    assert (result.sequences, result.overflow_branches) == expected, (
-                        q, max_len, kwargs)
-                    found += len(result)
-                    cut += result.overflow_branches
+        for _, result in _oracle_sweep(q, lengths, (None, 2**6)):
+            found += len(result)
+            cut += result.overflow_branches
     assert found > 0 and cut > 0
 
 
@@ -278,18 +291,10 @@ def test_last_level_matches_recursive_reference(monkeypatch):
         (after_cut, (6,), 16),
     ]
     cuts = _leaf_cuts(monkeypatch)
-    flags = ("reduced_only", "green_only", "first_only", "prune_revisited")
     last_finds = 0
     for q, lengths, low in cases:
-        for values in itertools.product((False, True), repeat=len(flags)):
-            for max_len in lengths:
-                for limit in ({}, {"weight_limit": low}):
-                    kwargs = dict(zip(flags, values), **limit)
-                    result = search_reddening(q, max_len, **kwargs)
-                    expected = reference_search_reddening(q, max_len, **kwargs)
-                    assert (result.sequences, result.overflow_branches) == expected, (
-                        q, max_len, kwargs)
-                    last_finds += sum(len(s) == max_len for s, _ in result)
+        for max_len, result in _oracle_sweep(q, lengths, (None, low)):
+            last_finds += sum(len(s) == max_len for s, _ in result)
     assert last_finds > 0 and cuts[0] > 0
     green = search_reddening(dreaded_torus(1), 6, green_only=True, reduced_only=True)
     assert (1, 3, 4, 2, 1, 3) in seqs(green)
@@ -436,19 +441,11 @@ def test_first_step_orbits_match_recursive_reference():
         Quiver.from_arrows([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)]),
         Quiver.from_arrows([1, 2, 3, 4], [(1, 2, 2), (1, 3, 2), (2, 4), (3, 4)]),
     ]
-    flags = ("reduced_only", "green_only", "first_only", "prune_revisited")
     found = cut = 0
     for q in cases:
-        for values in itertools.product((False, True), repeat=len(flags)):
-            for max_len in (5, 6):
-                for limit in ({}, {"weight_limit": 2**6}):
-                    kwargs = dict(zip(flags, values), **limit)
-                    result = search_reddening(q, max_len, **kwargs)
-                    expected = reference_search_reddening(q, max_len, **kwargs)
-                    assert (result.sequences, result.overflow_branches) == expected, (
-                        q, max_len, kwargs)
-                    found += len(result)
-                    cut += result.overflow_branches
+        for _, result in _oracle_sweep(q, (5, 6), (None, 2**6)):
+            found += len(result)
+            cut += result.overflow_branches
     assert found > 0 and cut > 0
 
 
@@ -613,14 +610,8 @@ def test_guardrail_cuts_every_child_of_a_start_state_over_the_limit():
     # state is over the limit, though no child grows an entry past it.
     # At length bound 0 there is no child to cut.
     q = Quiver.from_arrows([1, 2, 3], [(1, 2, 3), (2, 3)])
-    names = ("reduced_only", "green_only", "first_only", "prune_revisited")
-    for max_len in (0, 4):
-        for flags in itertools.product((False, True), repeat=4):
-            kwargs = dict(zip(names, flags), weight_limit=2)
-            result = search_reddening(q, max_len, **kwargs)
-            reference = reference_search_reddening(q, max_len, **kwargs)
-            assert (result.sequences, result.overflow_branches) == reference
-            assert result.sequences == () and result.overflow_branches == (3 if max_len else 0)
+    for max_len, result in _oracle_sweep(q, (0, 4), (2,)):
+        assert result.sequences == () and result.overflow_branches == (3 if max_len else 0)
 
 
 def test_deep_search_is_not_bounded_by_recursion(tmp_path, capsys):
@@ -741,13 +732,8 @@ def test_empty_sequence_is_reported_when_the_start_is_all_red(tmp_path, capsys):
     # Only the rank-0 start is all red, so only there is the empty sequence
     # reddening, at every length bound and under every flag.
     empty = Quiver.from_arrows([], [])
-    flags = ("reduced_only", "green_only", "first_only", "prune_revisited")
-    for values in itertools.product((False, True), repeat=len(flags)):
-        for max_len in (0, 1, 3):
-            kwargs = dict(zip(flags, values))
-            result = search_reddening(empty, max_len, **kwargs)
-            assert result.sequences == (((), Permutation.identity()),) and result.complete
-            assert (result.sequences, 0) == reference_search_reddening(empty, max_len, **kwargs)
+    for _, result in _oracle_sweep(empty, (0, 1, 3)):
+        assert result.sequences == (((), Permutation.identity()),) and result.complete
     assert len(search_reddening(Quiver.from_arrows([1], []), 0)) == 0
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"vertices": [], "arrows": []}))
