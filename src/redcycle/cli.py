@@ -40,6 +40,7 @@ from .extcycles import (
 )
 from .formats import (
     dump_quiver,
+    integer,
     load_matrix,
     load_quiver,
     parse_sequence,
@@ -259,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--green", action="store_true", help="require maximal green")
 
     search = argparse.ArgumentParser(add_help=False, parents=[quiver_in])
-    search.add_argument("--max-len", type=int, required=True)
+    search.add_argument("--max-len", type=integer, required=True)
     search.add_argument("--reduced", action="store_true")
     search.add_argument("--first", action="store_true")
     search.add_argument("--prune-revisited", action="store_true")
@@ -282,12 +283,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add("classify", _cmd_classify, quiver_in, "structural predicates of a quiver")
 
     p = add("forkless", _cmd_forkless, quiver_in, "explore the forkless part")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=integer, default=DEFAULT_BUDGET)
 
     p = add(
         "enumerate", _cmd_enumerate, quiver_in, "enumerate the mutation class up to isomorphism"
     )
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=integer, default=DEFAULT_BUDGET)
 
     p = add("distinguishing", _cmd_distinguishing, sequence_in, "test a distinguishing matrix")
     p.add_argument("--a", required=True)

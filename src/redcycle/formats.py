@@ -86,13 +86,22 @@ def dump_quiver(q: Quiver) -> str:
     return json.dumps(quiver_to_dict(q), indent=2, sort_keys=True) + "\n"
 
 
+def integer(text: str) -> int:
+    """``int(text)`` for ASCII digits after an optional ``-``, spaces around
+    them allowed; ``int()`` alone would also read ``1_0``, ``+2`` and ``٣``."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_sequence(text: str) -> MutationSequence:
     """Comma-separated vertex labels, e.g. ``"2,3"``."""
     text = text.strip()
     if not text:
         return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(map(integer, text.split(",")))
     except ValueError:
         raise FormatError(f"bad mutation sequence {text!r}") from None
 

@@ -34,17 +34,15 @@ from redcycle.quiver import INT_LIMIT
 from redcycle.reddening import is_maximal_green, source_sequence
 
 from conftest import random_quiver
-from reference import mutate_matrix
+from reference import first_over, mutate_matrix
 
 
 def _full_scan(labels, rows) -> str | None:
     """The overflow message of the first (i < j) pair out of range, row-major."""
-    n = len(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(rows[i][j]) > INT_LIMIT:
-                return f"arrow multiplicity exceeds 64-bit range at ({labels[i]}, {labels[j]})"
-    return None
+    pair = first_over(rows, INT_LIMIT)
+    if pair is None:
+        return None
+    return f"arrow multiplicity exceeds 64-bit range at ({labels[pair[0]]}, {labels[pair[1]]})"
 
 
 def _reference_mutate(q: Quiver, v: int) -> tuple[Quiver | None, str | None]:
