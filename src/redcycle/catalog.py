@@ -308,8 +308,8 @@ class CatalogItem:
     claims: tuple[tuple, ...] = ()
 
 
-def _check(name: str, ok: bool, detail: str = "") -> Check:
-    return (name, bool(ok), detail)
+def _check(name: str, ok: bool) -> Check:
+    return (name, bool(ok), "")
 
 
 def _claim_reddening(item: CatalogItem, check: str, q: str, s: str) -> Iterator[Check]:

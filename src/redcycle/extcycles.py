@@ -37,11 +37,9 @@ from .quiver import (
     _as_matrix,
     encodings,
     find_isomorphism,
-    inverse_sequence,
     is_reduced,
-    reduce_sequence,
 )
-from .reddening import is_reddening, source_sequence
+from .reddening import conjugate_reddening, is_reddening, source_sequence
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -163,29 +161,17 @@ def _require_reddening(q: Quiver, seq: Sequence[int], side: str) -> Permutation:
     return sigma
 
 
-def _checked(q: Quiver, seq: MutationSequence) -> tuple[Quiver, MutationSequence]:
+def _build(t, m_t, rho, h, m_h, sigma, a) -> tuple[Quiver, MutationSequence]:
+    k = lcm(rho.order, sigma.order)
+    seq = tuple(m_t) + tuple(m_h)
+    for i in range(1, k):
+        seq += (rho**i).map_sequence(m_t) + (sigma**i).map_sequence(m_h)
+    q = triangular_extension(ExtensionSpec(t, h, a))
     if q.mutate_seq(seq) != q:
         raise CycleConstructionError(
             f"constructed sequence of length {len(seq)} does not close the cycle"
         )
     return q, seq
-
-
-def _build(t, m_t, h, m_h, a, identity_only: bool) -> tuple[Quiver, MutationSequence]:
-    rho = _require_reddening(t, m_t, "T")
-    sigma = _require_reddening(h, m_h, "H")
-    if identity_only:
-        for side, perm in (("T", rho), ("H", sigma)):
-            if not perm.is_identity:
-                raise NonIdentityPermutationError(
-                    f"{side} sequence has associated permutation {perm}, not the identity"
-                )
-    k = lcm(rho.order, sigma.order)
-    seq: tuple[int, ...] = ()
-    for i in range(k):
-        seq += (rho**i).map_sequence(m_t) + (sigma**i).map_sequence(m_h)
-    q = triangular_extension(ExtensionSpec(t, h, a))
-    return _checked(q, seq)
 
 
 def build_cycle_equal(
@@ -201,7 +187,14 @@ def build_cycle_equal(
     whose permutations are not the identity are rejected; use
     :func:`build_cycle_general` for those.
     """
-    return _build(t, m_t, h, m_h, a, True)
+    rho = _require_reddening(t, m_t, "T")
+    sigma = _require_reddening(h, m_h, "H")
+    for side, perm in (("T", rho), ("H", sigma)):
+        if not perm.is_identity:
+            raise NonIdentityPermutationError(
+                f"{side} sequence has associated permutation {perm}, not the identity"
+            )
+    return _build(t, m_t, rho, h, m_h, sigma, a)
 
 
 def build_cycle_general(
@@ -220,7 +213,9 @@ def build_cycle_general(
     closes the cycle, where k is the smallest exponent killing both
     permutations (their orders' lcm).
     """
-    return _build(t, m_t, h, m_h, a, False)
+    return _build(
+        t, m_t, _require_reddening(t, m_t, "T"), h, m_h, _require_reddening(h, m_h, "H"), a
+    )
 
 
 def build_acyclic_cycle(
@@ -235,17 +230,19 @@ def build_acyclic_cycle(
     For acyclic factors with source sequences ``s_t``, ``s_h`` and arbitrary
     conjugating sequences ``m``, ``n``, the quiver
     ``mutate_seq(t, m) ->a mutate_seq(h, n)`` is fixed by the reduction of
-    ``m^-1 . s_t . m . n^-1 . s_h . n``.
+    ``m^-1 . s_t . m . n^-1 . s_h . n``: the one construction of the builders
+    above, fed the conjugated source sequences, whose permutations are the
+    identity (:func:`~redcycle.reddening.conjugate_reddening`).
     """
     s_t = source_sequence(t)
     s_h = source_sequence(h)
     m = tuple(m)
     n = tuple(n)
-    q = triangular_extension(ExtensionSpec(t.mutate_seq(m), h.mutate_seq(n), a))
-    seq = reduce_sequence(
-        inverse_sequence(m) + s_t + m + inverse_sequence(n) + s_h + n
+    one = Permutation.identity()
+    return _build(
+        t.mutate_seq(m), conjugate_reddening(s_t, one, m), one,
+        h.mutate_seq(n), conjugate_reddening(s_h, one, n), one, a,
     )
-    return _checked(q, seq)
 
 
 def is_distinguishing(

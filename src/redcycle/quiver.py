@@ -421,14 +421,6 @@ class Quiver:
 
     # -- mutation ------------------------------------------------------
 
-    def _check_mutable(self, v: int) -> int:
-        i = self._index.get(v)
-        if i is None:
-            raise UnknownVertexError(f"unknown vertex {v}")
-        if i >= len(self._rows):
-            raise FrozenVertexError(f"cannot mutate at frozen vertex {v}")
-        return i
-
     def mutate(self, v: int) -> "Quiver":
         """Mutate at the mutable vertex ``v``.
 
@@ -436,7 +428,11 @@ class Quiver:
         path ``u -> v -> w`` the entry ``b(u, w)`` grows by
         ``b(u, v) * b(v, w)``, then row and column ``v`` change sign.
         """
-        k = self._check_mutable(v)
+        k = self._index.get(v)
+        if k is None:
+            raise UnknownVertexError(f"unknown vertex {v}")
+        if k >= len(self._rows):
+            raise FrozenVertexError(f"cannot mutate at frozen vertex {v}")
         try:
             new = _mutated_rows(self._rows, k, INT_LIMIT)
         except OverflowError as exc:

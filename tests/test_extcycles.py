@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import redcycle.extcycles as extcycles
 from redcycle import (
     ExtensionSpec,
     Permutation,
@@ -19,13 +20,17 @@ from redcycle import (
     is_distinguishing,
     is_reddening,
     catalog_item,
+    conjugate_reddening,
+    inverse_sequence,
     predicted_cross_block,
+    reduce_sequence,
     source_sequence,
     triangular_extension,
     verify_cycle,
 )
 from redcycle.errors import (
     AlreadyFramedError,
+    CycleConstructionError,
     CyclicQuiverError,
     IntegerOverflowError,
     LabelCollisionError,
@@ -35,6 +40,7 @@ from redcycle.errors import (
     RedcycleError,
     ShapeError,
 )
+from redcycle.cli import main
 
 from conftest import random_abundant_acyclic, random_sequence
 
@@ -342,6 +348,103 @@ def test_generalized_cycles_on_abundant_acyclic_factors_are_simple():
     assert built > 20
 
 
+def test_builders_raise_when_their_cycle_does_not_close(monkeypatch, tmp_path, capsys):
+    # Every builder checks that its cycle closes.  An extension that gains
+    # one arrow from H's first vertex back to T's first defeats every
+    # construction, so each builder must raise rather than return it, and
+    # the CLI must exit 1 with one error line.
+    extension = extcycles.triangular_extension
+
+    def with_back_arrow(spec):
+        q = extension(spec)
+        back = (spec.h.mutable_labels[0], spec.t.mutable_labels[0], 1)
+        return Quiver.from_arrows(q.mutable_labels, list(q.arrows()) + [back])
+
+    monkeypatch.setattr(extcycles, "triangular_extension", with_back_arrow)
+    t, h = Quiver.from_arrows([5, 6], [(5, 6)]), Quiver.from_arrows([1, 2], [(1, 2)])
+    a = [[0, 1], [1, 0]]
+    builds = [
+        (10, lambda: build_cycle_general(t, (5, 6), h, (2, 1, 2), a)),
+        (4, lambda: build_cycle_equal(t, source_sequence(t), h, source_sequence(h), a)),
+        (4, lambda: build_acyclic_cycle(t, (6,), h, (1,), a)),
+    ]
+    for length, build in builds:
+        message = f"^constructed sequence of length {length} does not close the cycle$"
+        with pytest.raises(CycleConstructionError, match=message):
+            build()
+    (tmp_path / "t.json").write_text('{"vertices": [5, 6], "arrows": [[5, 6, 1]]}')
+    (tmp_path / "h.json").write_text('{"vertices": [1, 2], "arrows": [[1, 2, 1]]}')
+    code = main([
+        "cycle-build", "general", "--t", str(tmp_path / "t.json"),
+        "--h", str(tmp_path / "h.json"), "--a", "[[0, 1], [1, 0]]",
+        "--mt", "5,6", "--mh", "2,1,2",
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: constructed sequence of length 10 does not close the cycle\n"
+
+
+def _random_acyclic(rng: random.Random, first: int) -> Quiver:
+    """An acyclic quiver of rank 1 to 4 on labels from ``first``, weights 0 to 3
+    along a random vertex order."""
+    labels = list(range(first, first + rng.randint(1, 4)))
+    order = rng.sample(labels, len(labels))
+    arrows = [
+        (u, v, w) for i, u in enumerate(order) for v in order[i + 1:]
+        if (w := rng.randint(0, 3))
+    ]
+    return Quiver.from_arrows(labels, arrows)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except IntegerOverflowError as exc:
+        return IntegerOverflowError, str(exc), exc.step
+
+
+def test_acyclic_cycle_is_the_one_construction_on_conjugated_source_sequences():
+    # build_acyclic_cycle conjugates each source sequence alone and
+    # concatenates them.  That equals the reduction of the whole conjugation
+    # formula, kept here as the oracle, because T and H labels are disjoint,
+    # so no cancellation crosses the junction.  The first case's conjugator
+    # leaves the 64-bit range at its step 7.
+    rng = random.Random(173)
+    one = Permutation.identity()
+
+    def formula(t, m, h, n, a):
+        q = triangular_extension(ExtensionSpec(t.mutate_seq(m), h.mutate_seq(n), a))
+        s_t, s_h = source_sequence(t), source_sequence(h)
+        seq = reduce_sequence(inverse_sequence(m) + s_t + m + inverse_sequence(n) + s_h + n)
+        if q.mutate_seq(seq) != q:
+            raise CycleConstructionError(
+                f"constructed sequence of length {len(seq)} does not close the cycle"
+            )
+        return q, seq
+
+    triangle = Quiver.from_arrows([1, 2, 3], [(1, 2, 3), (2, 3, 3), (1, 3, 3)])
+    point = Quiver.from_arrows([11], [])
+    cases = [(triangle, (2, 3, 1, 2, 3, 1, 2, 3), point, (), ((1,), (0,), (2,)))]
+    for _ in range(240):
+        t, h = _random_acyclic(rng, 1), _random_acyclic(rng, 11)
+        reduced = rng.random() < 0.5  # a rank-1 factor has no reduced sequence past one step
+        m = random_sequence(rng, t, 6, reduced=reduced and t.rank > 1)
+        n = random_sequence(rng, h, 6, reduced=reduced and h.rank > 1)
+        a = tuple(tuple(rng.randint(0, 2) for _ in h.labels) for _ in t.labels)
+        cases.append((t, m, h, n, a))
+    overflows = []
+    for t, m, h, n, a in cases:
+        expected = _outcome(lambda: formula(t, m, h, n, a))
+        assert _outcome(lambda: build_acyclic_cycle(t, m, h, n, a)) == expected
+        if expected[0] is IntegerOverflowError:  # then no mutated factor exists
+            overflows.append(expected[2])
+            continue
+        for factor, conjugator in ((t, m), (h, n)):
+            conjugated = conjugate_reddening(source_sequence(factor), one, conjugator)
+            assert is_reddening(factor.mutate_seq(conjugator), conjugated) == one
+    assert overflows == [7]
+
+
 def test_is_distinguishing_trivial_cases():
     t = Quiver.from_arrows([1, 2], [(1, 2, 2)])
     assert is_distinguishing(t, (), ((1,), (2,)))
@@ -352,9 +455,7 @@ def test_nonzero_matrices_distinguish_abundant_acyclic_conjugates():
     t = Quiver.from_arrows([1, 2, 3], [(1, 2, 2), (2, 3, 2), (1, 3, 2)])
     rss = source_sequence(t)
     rng = random.Random(151)
-    from redcycle import conjugate_reddening, is_reduced
-
-    from redcycle.errors import IntegerOverflowError
+    from redcycle import is_reduced
 
     hits = 0
     for _ in range(30):
